@@ -29,8 +29,8 @@ def test_fig19_insert_throughput(benchmark):
         assert all(h < c for h, c in zip(hs, cm)), figure.title
         # HS and HS-SIMD hash identically (SIMD changes compares, not hashes)
         assert figure.series["HS-SIMD"] == hs, figure.title
-        # the batched window path keeps the per-record hash cost model too
-        assert figure.series["HS-BATCH"] == hs, figure.title
+        # the kernel window path keeps the per-record hash cost model too
+        assert figure.series["HS-KERNEL"] == hs, figure.title
 
 
 def test_fig19_simd_compare_reduction(benchmark):

@@ -4,10 +4,8 @@ Times the ways to feed a window stream into a Hypersistent Sketch:
 
 * record-at-a-time through the scalar Burst Filter (the paper's path);
 * record-at-a-time through the numpy SIMD-emulating Burst Filter;
-* whole-window batches through :class:`BatchWindowProcessor` (legacy,
-  approximate pre-dedup);
-* whole-window columnar batches through ``insert_window`` (the exact
-  fast path — bit-for-bit the scalar results).
+* whole-window batches through ``insert_window`` on the kernel engine
+  (the exact fast path — bit-for-bit the scalar results).
 
 Uses pytest-benchmark's statistical timing (multiple rounds) since these
 are honest wall-clock comparisons of same-language implementations.
@@ -15,12 +13,7 @@ are honest wall-clock comparisons of same-language implementations.
 
 import pytest
 
-from repro.core import (
-    BatchWindowProcessor,
-    HSConfig,
-    HypersistentSketch,
-    make_hypersistent_simd,
-)
+from repro.core import HSConfig, HypersistentSketch, make_hypersistent_simd
 from repro.experiments.figures.common import bench_scale
 from repro.streams.traces import caida_like
 
@@ -53,15 +46,7 @@ def _run_simd(windows, config):
     return sketch
 
 
-def _run_batch(windows, config):
-    sketch = HypersistentSketch(config)
-    proc = BatchWindowProcessor(sketch)
-    for items in windows:
-        proc.process_window(items)
-    return sketch
-
-
-def _run_window_batch(window_arrays, config, simd=True):
+def _run_windows(window_arrays, config, simd=True):
     sketch = (make_hypersistent_simd(config) if simd
               else HypersistentSketch(config))
     for keys in window_arrays:
@@ -85,25 +70,17 @@ def test_ingest_simd_filter(benchmark, workload):
     assert sketch.window == len(windows)
 
 
-def test_ingest_batch_windows(benchmark, workload):
-    windows, config, _ = workload
-    sketch = benchmark.pedantic(
-        _run_batch, args=(windows, config), rounds=3, iterations=1
-    )
-    assert sketch.window == len(windows)
-
-
 def test_ingest_columnar_windows(benchmark, workload):
-    """The exact columnar fast path: ``insert_window`` on key arrays."""
+    """The exact kernel fast path: ``insert_window`` on key arrays."""
     windows, config, trace = workload
     arrays = trace.window_arrays()
     sketch = benchmark.pedantic(
-        _run_window_batch, args=(arrays, config), rounds=3, iterations=1
+        _run_windows, args=(arrays, config), rounds=3, iterations=1
     )
     assert sketch.window == len(windows)
 
 
-def _run_window_batch_with_registry(window_arrays, config):
+def _run_windows_with_registry(window_arrays, config):
     from repro.obs import MetricsRegistry, bind_sketch
 
     sketch = make_hypersistent_simd(config)
@@ -114,7 +91,7 @@ def _run_window_batch_with_registry(window_arrays, config):
 
 
 def test_ingest_columnar_with_registry(benchmark, workload):
-    """Columnar fast path with a bound (pull-only) metrics registry.
+    """Kernel fast path with a bound (pull-only) metrics registry.
 
     The registry reads stage counters only at collection time, so this
     series must track ``test_ingest_columnar_windows`` within noise —
@@ -124,7 +101,7 @@ def test_ingest_columnar_with_registry(benchmark, workload):
     windows, config, trace = workload
     arrays = trace.window_arrays()
     sketch = benchmark.pedantic(
-        _run_window_batch_with_registry, args=(arrays, config),
+        _run_windows_with_registry, args=(arrays, config),
         rounds=3, iterations=1,
     )
     assert sketch.window == len(windows)
@@ -134,27 +111,18 @@ def test_bound_registry_does_not_change_results(workload):
     """A bound registry leaves state, stats, and estimates untouched."""
     windows, config, trace = workload
     arrays = trace.window_arrays()
-    bare = _run_window_batch(arrays, config, simd=True)
-    bound = _run_window_batch_with_registry(arrays, config)
+    bare = _run_windows(arrays, config, simd=True)
+    bound = _run_windows_with_registry(arrays, config)
     assert bare.stats() == bound.stats()
     keys = {item for items in windows for item in items}
     assert all(bare.query(k) == bound.query(k) for k in keys)
-
-
-def test_paths_agree_on_estimates(workload):
-    windows, config, _ = workload
-    scalar = _run_scalar(windows, config)
-    batch = _run_batch(windows, config)
-    keys = {item for items in windows for item in items}
-    diffs = sum(1 for k in keys if scalar.query(k) != batch.query(k))
-    assert diffs / max(1, len(keys)) < 0.02  # only burst-overflow corners
 
 
 def test_columnar_path_is_exact(workload):
     """``insert_window`` is bit-for-bit the scalar loop, not approximate."""
     windows, config, trace = workload
     scalar = _run_scalar(windows, config)
-    columnar = _run_window_batch(trace.window_arrays(), config, simd=False)
+    columnar = _run_windows(trace.window_arrays(), config, simd=False)
     assert scalar.stats() == columnar.stats()
     keys = {item for items in windows for item in items}
     assert all(scalar.query(k) == columnar.query(k) for k in keys)

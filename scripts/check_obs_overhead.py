@@ -1,7 +1,7 @@
 """Gate the observability layer's disabled-instrumentation overhead.
 
 Times whole-window ingest on the ``caida_like`` workload at bench scale,
-for **both** batch engines (``batched`` and ``kernel``), four ways each:
+on the ``kernel`` batch engine, four ways:
 
 * ``bare``       — no observability at all;
 * ``bound``      — a :class:`~repro.obs.registry.MetricsRegistry` with
@@ -14,7 +14,7 @@ for **both** batch engines (``batched`` and ``kernel``), four ways each:
 * ``profiled``   — a :class:`~repro.obs.profiler.WindowProfiler`
   attached (stage timing proxies live; informational, not gated).
 
-Fails (exit 1) when, for either engine, the ``bound`` or ``traced_off``
+Fails (exit 1) when the ``bound`` or ``traced_off``
 median regresses more than ``--max-overhead`` (default 5%, env
 ``REPRO_OBS_OVERHEAD_MAX``) over that engine's ``bare``, and writes the
 measurements to ``--out`` for the CI artifact.  Usage::
@@ -47,7 +47,7 @@ from repro.streams.traces import caida_like
 ROUNDS = 9
 
 #: Engines under the gate (the scalar path is not a batch ingest engine).
-ENGINES = ("batched", "kernel")
+ENGINES = ("kernel",)
 
 #: Variant name -> (prepare hook, gated?).
 VARIANTS = (

@@ -1,11 +1,13 @@
-"""Record the scalar / batched / kernel ingestion benchmark to BENCH_ingest.json.
+"""Record the scalar / kernel ingestion benchmark to BENCH_ingest.json.
 
-Times the record-at-a-time ``insert`` loop against the columnar
-``insert_window`` batch path and the fused structure-of-arrays kernel
-backend (``engine="kernel"``) on the ``caida_like`` workload at the
-default bench scale, and writes the measured Mops, hash-ops-per-insert,
-speedups, and the kernel's per-stage time breakdown so CI and the README
-quote reproducible numbers.  Usage::
+Times the record-at-a-time ``insert`` loop against the fused
+structure-of-arrays kernel backend (``engine="kernel"``, whole windows
+through ``insert_window``) on the ``caida_like`` workload at the default
+bench scale, and writes the measured Mops, hash-ops-per-insert, the
+kernel-over-scalar speedup, and the kernel's per-stage time breakdown.
+This is the 15-window ratio-gate smoke behind ``check_bench.py``; the
+benchmark of record is ``perfbench/`` (see ``perfbench/README.md``).
+Usage::
 
     PYTHONPATH=src python scripts/record_bench.py [--out BENCH_ingest.json]
     PYTHONPATH=src python scripts/record_bench.py --quick   # CI smoke (1 round)
@@ -98,23 +100,17 @@ def run(out_path: str, quick: bool = False) -> dict:
     scalar_s, scalar = _time_rounds(
         lambda: HypersistentSketch(config), feed_scalar, rounds
     )
-    batched_s, batched = _time_rounds(
+    kernel_s, kernel = _time_rounds(
         lambda: make_hypersistent_simd(config), feed_windows, rounds
     )
-    kernel_s, kernel = _time_rounds(
-        lambda: make_hypersistent_simd(config, engine="kernel"),
-        feed_windows, rounds,
-    )
-    for other, label in ((batched, "batched"), (kernel, "kernel")):
-        if scalar.stats()["hash_ops"] != other.stats()["hash_ops"]:
-            raise SystemExit(
-                f"hash-op cost models diverged between scalar and {label}"
-            )
+    if scalar.stats()["hash_ops"] != kernel.stats()["hash_ops"]:
+        raise SystemExit("hash-op cost models diverged between scalar and "
+                         "kernel")
 
     # Per-stage breakdown: one extra kernel pass accumulating wall-clock
     # seconds per pipeline stage (window_arrays are already canonical, so
     # ingest_window can be driven directly).
-    stage_sketch = make_hypersistent_simd(config, engine="kernel")
+    stage_sketch = make_hypersistent_simd(config)
     timings = {}
     for keys in arrays:
         ingest_window(stage_sketch, keys, timings)
@@ -142,29 +138,19 @@ def run(out_path: str, quick: bool = False) -> dict:
             "mops": round(n / scalar_s / 1e6, 4),
             "hash_ops_per_insert": round(scalar.stats()["hash_ops"] / n, 4),
         },
-        "batched": {
-            "seconds": round(batched_s, 4),
-            "mops": round(n / batched_s / 1e6, 4),
-            "hash_ops_per_insert": round(batched.stats()["hash_ops"] / n, 4),
-        },
         "kernel": {
             "seconds": round(kernel_s, 4),
             "mops": round(n / kernel_s / 1e6, 4),
             "hash_ops_per_insert": round(kernel.stats()["hash_ops"] / n, 4),
             "stages": stages,
         },
-        "speedup": round(scalar_s / batched_s, 2),
         "speedup_kernel": round(scalar_s / kernel_s, 2),
-        "speedup_kernel_over_batched": round(batched_s / kernel_s, 2),
     }
     Path(out_path).write_text(json.dumps(result, indent=2) + "\n")
     print(f"scalar  : {result['scalar']['mops']:.3f} Mops "
           f"({scalar_s:.3f}s)")
-    print(f"batched : {result['batched']['mops']:.3f} Mops "
-          f"({batched_s:.3f}s, {result['speedup']:.2f}x scalar)")
     print(f"kernel  : {result['kernel']['mops']:.3f} Mops "
-          f"({kernel_s:.3f}s, {result['speedup_kernel']:.2f}x scalar, "
-          f"{result['speedup_kernel_over_batched']:.2f}x batched)")
+          f"({kernel_s:.3f}s, {result['speedup_kernel']:.2f}x scalar)")
     print("stages  : " + "  ".join(
         f"{stage}={spec['share']:.0%}" for stage, spec in stages.items()))
     print(f"-> {out_path}")

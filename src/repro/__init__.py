@@ -66,7 +66,6 @@ from .experiments import (
     make_finder,
     run_experiment,
     run_stream,
-    run_stream_batched,
 )
 from .obs import MetricsRegistry, WindowProfiler
 from .streams import (
@@ -135,6 +134,5 @@ __all__ = [
     "run_experiment",
     "save_sketch",
     "run_stream",
-    "run_stream_batched",
     "zipf_trace",
 ]

@@ -51,6 +51,7 @@ from typing import List, Optional
 
 from .analysis.ascii_plot import plot_figure, telemetry_panel
 from .analysis.metrics import aae, are, classify, estimate_all
+from .core import ENGINES
 from .experiments.harness import (
     BATCHED_ALGORITHMS,
     ESTIMATION_ALGORITHMS,
@@ -74,12 +75,12 @@ from .obs import (
 )
 
 #: Labels accepted by ``estimate``/``compare``: the estimation suite plus
-#: the batched-ingestion variants (same estimates, columnar insert path).
+#: the whole-window ingestion variant (same estimates, kernel insert path).
 _ESTIMATE_CHOICES = tuple(ESTIMATION_ALGORITHMS) + tuple(BATCHED_ALGORITHMS)
 
 #: Labels ``trace``/``explain`` accept: only the Hypersistent builds carry
 #: the flight-recorder wiring and the staged ``explain`` audit.
-_TRACEABLE_CHOICES = ("HS", "HS-SIMD", "HS-BATCH", "HS-KERNEL")
+_TRACEABLE_CHOICES = ("HS", "HS-SIMD") + tuple(BATCHED_ALGORITHMS)
 from .experiments.registry import (
     EXPERIMENTS,
     run_experiment,
@@ -854,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="HS")
     p.add_argument("--memory-kb", type=float, default=64)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--engine", choices=("scalar", "batched", "kernel"),
+    p.add_argument("--engine", choices=ENGINES,
                    default=None,
                    help="force a batch ingestion backend on sketches that "
                         "support one (bit-identical results; speed only)")
@@ -905,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=_TRACEABLE_CHOICES, default="HS")
     p.add_argument("--memory-kb", type=float, default=64)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--engine", choices=("scalar", "batched", "kernel"),
+    p.add_argument("--engine", choices=ENGINES,
                    default=None,
                    help="force a batch ingestion backend (bit-identical "
                         "results; changes which bulk events are emitted)")
@@ -935,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=_TRACEABLE_CHOICES, default="HS")
     p.add_argument("--memory-kb", type=float, default=64)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--engine", choices=("scalar", "batched", "kernel"),
+    p.add_argument("--engine", choices=ENGINES,
                    default=None,
                    help="force a batch ingestion backend (bit-identical "
                         "results; changes which bulk events are emitted)")
@@ -1024,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop-after", type=int, default=0, metavar="W",
                    help="stop after W windows (simulate a crash; "
                         "0 = stream the whole trace)")
-    p.add_argument("--engine", choices=("scalar", "batched", "kernel"),
+    p.add_argument("--engine", choices=ENGINES,
                    default=None,
                    help="force a batch ingestion backend (bit-identical "
                         "results; errors on sketches without a selector)")
@@ -1050,7 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also rebuild the sketch from the checkpoint's "
                         "meta, run it uninterrupted, and verify the "
                         "resumed estimates are bit-equal")
-    p.add_argument("--engine", choices=("scalar", "batched", "kernel"),
+    p.add_argument("--engine", choices=ENGINES,
                    default=None,
                    help="replay the remaining windows on this batch "
                         "backend (bit-identical results; errors on "
@@ -1068,7 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--memory-kb", type=float, default=64,
                    help="total memory budget, split across workers")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--engine", choices=("scalar", "batched", "kernel"),
+    p.add_argument("--engine", choices=ENGINES,
                    default="kernel",
                    help="ingest backend per worker (bit-equivalent)")
     p.add_argument("--every", type=int, default=8,

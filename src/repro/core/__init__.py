@@ -7,7 +7,6 @@ from .config import HOT_COUNTER_BITS, REPLACE_HASH, REPLACE_RANDOM, HSConfig
 from .hot_part import HotPart
 from .hypersistent import HypersistentSketch
 from .kernels import (
-    ENGINE_BATCHED,
     ENGINE_KERNEL,
     ENGINE_SCALAR,
     ENGINES,
@@ -19,7 +18,6 @@ from .sliding import SlidingHypersistentSketch
 from .snapshot import SnapshotError, load_sketch, save_sketch
 from .simd import (
     SIMD_LANES,
-    BatchWindowProcessor,
     VectorizedBurstFilter,
     make_hypersistent_simd,
     scalar_scan_cost,
@@ -28,14 +26,12 @@ from .simd import (
 
 __all__ = [
     "ENGINES",
-    "ENGINE_BATCHED",
     "ENGINE_KERNEL",
     "ENGINE_SCALAR",
     "HOT_COUNTER_BITS",
     "REPLACE_HASH",
     "REPLACE_RANDOM",
     "SIMD_LANES",
-    "BatchWindowProcessor",
     "BurstFilter",
     "ColdFilteredSketch",
     "ColdFilter",

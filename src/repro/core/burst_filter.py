@@ -34,8 +34,7 @@ from ..common.bitmem import ID_BITS
 from ..common.errors import ConfigError, MergeError
 from ..common.hashing import HashFamily
 from ..obs.events import BURST_ADMIT, BURST_DRAIN, BURST_OVERFLOW
-from .columnar import plan_burst_admission, window_downstream
-from .kernels import burst_window_plan
+from .kernels import burst_window_plan, plan_burst_admission
 
 
 class BurstFilter:
@@ -139,7 +138,7 @@ class BurstFilter:
             tr.emit_bulk(BURST_OVERFLOW, keys[~plan.absorbed])
         return plan.absorbed
 
-    def window_batch(self, keys: np.ndarray) -> Optional[np.ndarray]:
+    def window_kernel(self, keys: np.ndarray) -> Optional[np.ndarray]:
         """Whole-window fast path: admission plus drain in one plan.
 
         Returns the downstream key sequence the scalar window would send to
@@ -148,36 +147,10 @@ class BurstFilter:
         order — leaving the filter empty, exactly as
         ``insert_batch`` + ``drain_array`` would.  Because the stored set
         is drained at the window end regardless, bucket storage is never
-        touched; only the plan and the counters are computed.  Requires an
+        touched; only the plan (:func:`~repro.core.kernels
+        .burst_window_plan`) and the counters are computed.  Requires an
         empty filter (the whole-window invariant); returns ``None`` when
         the filter holds keys so the caller can take the general path.
-        """
-        if self._fill.any():
-            return None
-        keys = np.asarray(keys, dtype=np.uint64)
-        n = int(keys.size)
-        if not n:
-            return keys
-        self.hash_ops += n
-        plan = plan_burst_admission(
-            keys,
-            lambda u: self._hash.index_batch(u, 0, self.n_buckets),
-            self.cells_per_bucket,
-        )
-        self.compare_ops += plan.scan_compares
-        self.absorbed += plan.n_absorbed
-        self.overflowed += n - plan.n_absorbed
-        downstream = window_downstream(keys, plan, self.cells_per_bucket)
-        self._emit_window_bulks(downstream, n - plan.n_absorbed)
-        return downstream
-
-    def window_kernel(self, keys: np.ndarray) -> Optional[np.ndarray]:
-        """Fused :meth:`window_batch` (the ``engine="kernel"`` stage-1 op).
-
-        Identical contract and counters; computed by
-        :func:`~repro.core.kernels.burst_window_plan` in one unique pass
-        plus one composite sort instead of the columnar plan's four sorts.
-        Returns ``None`` when the filter is non-empty (general path).
         """
         if self._fill.any():
             return None
@@ -202,7 +175,7 @@ class BurstFilter:
         """Reconstruct the whole-window fast path's events in bulk.
 
         ``downstream`` is overflow occurrences followed by the drained
-        distinct keys (the :func:`window_downstream` layout), so the two
+        distinct keys (the :meth:`window_kernel` layout), so the two
         slices are exactly the scalar window's OVERFLOW and ADMIT+DRAIN
         emissions — no per-item work.
         """

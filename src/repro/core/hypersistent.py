@@ -15,11 +15,10 @@ item's persistence lives.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional
 
 import numpy as np
-
-import time
 
 from ..common.errors import ConfigError, MergeError
 from ..common.hashing import ItemKey, canonical_key, canonical_keys
@@ -29,13 +28,7 @@ from .burst_filter import BurstFilter
 from .cold_filter import ColdFilter
 from .config import HSConfig
 from .hot_part import HotPart
-from .kernels import (
-    ENGINE_BATCHED,
-    ENGINE_KERNEL,
-    ENGINE_SCALAR,
-    ENGINES,
-    ingest_window,
-)
+from .kernels import ENGINE_KERNEL, ENGINE_SCALAR, ENGINES, ingest_window
 
 
 class HypersistentSketch:
@@ -49,15 +42,13 @@ class HypersistentSketch:
     :meth:`insert_window` / :meth:`insert_batch` replay a window —
     per-record :meth:`insert` calls are always scalar):
 
-    * ``"scalar"`` — per-record replay, the oracle the other backends are
+    * ``"scalar"`` — per-record replay, the oracle the fast path is
       checked against;
-    * ``"batched"`` — the columnar plans of :mod:`repro.core.columnar`
-      (default);
     * ``"kernel"`` — the fused structure-of-arrays kernels of
-      :mod:`repro.core.kernels`, the fastest path.
+      :mod:`repro.core.kernels` (default).
 
-    All three are bit-for-bit equivalent — state, estimates, and counters —
-    so the engine is a runtime choice and never enters :meth:`state_dict`.
+    Both are bit-for-bit equivalent — state, estimates, and counters — so
+    the engine is a runtime choice and never enters :meth:`state_dict`.
 
     >>> sketch = HypersistentSketch(HSConfig(memory_bytes=64 * 1024))
     >>> for window in range(3):
@@ -69,14 +60,14 @@ class HypersistentSketch:
     """
 
     def __init__(self, config: Optional[HSConfig] = None,
-                 engine: str = ENGINE_BATCHED, **kwargs):
+                 engine: str = ENGINE_KERNEL, **kwargs):
         if config is None:
             config = HSConfig(**kwargs)
         elif kwargs:
             raise TypeError("pass either a config object or keyword fields")
         self.config = config
-        # runtime-only backend choice, never serialized (all engines are
-        # bit-identical; from_state always restores as "batched")
+        # runtime-only backend choice, never serialized (the engines are
+        # bit-identical; from_state always restores as "kernel")
         self.engine = engine  # staticcheck: ignore[SC-PERSIST]
         seed = config.seed
         n_burst = config.burst_buckets()
@@ -110,7 +101,7 @@ class HypersistentSketch:
 
     @property
     def engine(self) -> str:
-        """Active batch ingestion backend (``scalar``/``batched``/``kernel``)."""
+        """Active batch ingestion backend (``scalar`` or ``kernel``)."""
         return self._engine
 
     @engine.setter
@@ -176,72 +167,37 @@ class HypersistentSketch:
         if self.burst is not None:
             absorbed = self.burst.insert_batch(keys)
             keys = keys[~absorbed]
-        self._insert_downstream_batch(keys)
+        if keys.size:
+            accepted = self.cold.insert_batch(keys)
+            self.hot.insert_batch(keys[~accepted])
 
     def _scalar_replay(self, keys: np.ndarray) -> None:
         """The oracle path: feed canonical keys through scalar ``insert``."""
         for key in keys.tolist():  # staticcheck: ignore[SC-LOOP]
             self.insert(key)
 
-    def _insert_downstream_batch(self, keys: np.ndarray) -> None:
-        """Cold Filter, then Hot Part on overflow, for an ordered batch."""
-        if not keys.size:
-            return
-        accepted = self.cold.insert_batch(keys)
-        self.hot.insert_batch(keys[~accepted])
-
     def insert_window(self, items) -> None:
         """Process one whole window of occurrences and close it.
 
         The batch equivalent of ``insert`` x N + ``end_window``, and
-        bit-for-bit equivalent to it: the Burst Filter's columnar admission
-        plan decides absorption exactly as the per-record scans would, the
-        overflowing occurrences go downstream in arrival order, and the
-        absorbed distinct keys follow in drain order — the same downstream
-        sequence the scalar path produces.  Use it when the caller already
-        holds the window's records as a batch (see
+        bit-for-bit equivalent to it.  Use it when the caller already holds
+        the window's records as a batch (see
         :meth:`~repro.streams.model.Trace.window_arrays`).
 
-        Dispatches on :attr:`engine`: ``"kernel"`` runs the fused SoA
-        kernels (:func:`repro.core.kernels.ingest_window`), ``"scalar"``
-        replays the window record-at-a-time, ``"batched"`` uses the
-        columnar plans below.
+        Dispatches on :attr:`engine`: ``"scalar"`` replays the window
+        record-at-a-time (the oracle), ``"kernel"`` runs the fused SoA
+        kernels (:func:`repro.core.kernels.ingest_window`): the Burst
+        Filter's whole-window plan decides absorption exactly as the
+        per-record scans would, the overflowing occurrences go downstream
+        in arrival order, and the absorbed distinct keys follow in drain
+        order — the same downstream sequence the scalar path produces.
         """
         keys = canonical_keys(items)
-        if self._engine == ENGINE_KERNEL:
-            ingest_window(self, keys)
-            return
         if self._engine == ENGINE_SCALAR:
             self._scalar_replay(keys)
             self.end_window()
             return
-        self.inserts += int(keys.size)
-        tr = self.trace
-        tracing = tr is not None and tr.enabled
-        window_started = time.perf_counter() if tracing else 0.0
-        if self.burst is not None:
-            # empty filter (the steady whole-window state): one fused plan
-            # yields the downstream sequence without touching bucket storage
-            downstream = self.burst.window_batch(keys)
-            if downstream is None:  # open window left by insert_batch
-                absorbed = self.burst.insert_batch(keys)
-                overflow = keys[~absorbed]
-                drained = self.burst.drain_array()
-                if tr is not None and tr.enabled:
-                    tr.emit_bulk(BURST_DRAIN, drained)
-                downstream = (
-                    np.concatenate((overflow, drained))
-                    if overflow.size else drained
-                )
-        else:
-            downstream = keys
-        self._insert_downstream_batch(downstream)
-        self.cold.end_window()
-        self.hot.end_window()
-        self.window += 1
-        if tracing:
-            tr.record_span("window", window_started, self.window - 1)
-            tr.rotate(self.window)
+        ingest_window(self, keys)
 
     # ------------------------------------------------------------------
     # query (Algorithm 5)
@@ -578,7 +534,7 @@ class HypersistentSketch:
         default engine; set :attr:`engine` afterwards to switch.
         """
         obj = cls.__new__(cls)
-        obj._engine = ENGINE_BATCHED
+        obj._engine = ENGINE_KERNEL
         obj.config = HSConfig.from_state(state["config"])
         kind = state["burst_kind"]
         if kind == "none":

@@ -1,16 +1,16 @@
 """Whole-window structure-of-arrays kernels for the three-stage pipeline.
 
-The batched ingestion path (:mod:`repro.core.columnar`) already replays a
-window bit-for-bit with columnar plans, but each stage still composes
-several passes (two sorts for the burst plan plus one for the drain order,
-per-row gathers in the Cold Filter, a per-item Python walk in the Hot
-Part).  This module is the third backend — ``engine="kernel"`` — where each
-stage's per-window update is a handful of numpy array ops over the whole
-batch operating directly on the stages' structure-of-arrays storage:
+This module is the fast ingestion backend — ``engine="kernel"``, the
+default — beside the scalar record-at-a-time oracle.  Each stage's
+per-window update is a handful of numpy array ops over the whole batch
+operating directly on the stages' structure-of-arrays storage:
 
 * :func:`burst_window_plan` — the Burst Filter's whole-window admission,
   drain order, and scan-compare accounting from **one** ``numpy.unique``
-  and **one** composite argsort (the columnar plan needs four sorts);
+  and **one** composite argsort;
+* :func:`plan_burst_admission` — the general (open-window) admission plan
+  behind the burst filters' ``insert_batch``, which also honours buckets
+  that already hold keys;
 * :func:`cold_layer_batch` — the Cold Filter wave engine: conflict-free
   wave selection with a **single** stable argsort over the flattened
   ``row * width + cell`` ids of all rows at once, fused gather / row-min /
@@ -38,6 +38,7 @@ import it without cycles.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -56,9 +57,8 @@ from ..obs.events import (
 
 #: Ingestion engine names accepted by ``HypersistentSketch(engine=...)``.
 ENGINE_SCALAR = "scalar"
-ENGINE_BATCHED = "batched"
 ENGINE_KERNEL = "kernel"
-ENGINES = (ENGINE_SCALAR, ENGINE_BATCHED, ENGINE_KERNEL)
+ENGINES = (ENGINE_SCALAR, ENGINE_KERNEL)
 
 
 def _unique_order(keys: np.ndarray):
@@ -101,11 +101,11 @@ def burst_window_plan(
     variant) pass ``with_compares=False`` to skip that accounting
     (``scan_compares`` comes back 0).
 
-    Correctness mirrors :func:`~repro.core.columnar.plan_burst_admission`:
-    within one window a bucket only fills, so the stored set is the first
-    ``capacity`` distinct keys per bucket in first-arrival order.  The
-    fusion: one ``numpy.unique`` gives distinct keys, counts, and first
-    positions; one argsort of the composite ``bucket * n + first_pos``
+    Correctness mirrors :func:`plan_burst_admission`: within one window a
+    bucket only fills, so the stored set is the first ``capacity``
+    distinct keys per bucket in first-arrival order.  The fusion: one
+    ``numpy.unique`` gives distinct keys, counts, and first positions;
+    one argsort of the composite ``bucket * n + first_pos``
     (distinct per key, so no stable sort needed) yields bucket-major,
     arrival-minor order, from which within-bucket slots, the stored set,
     *and* the drain sequence all fall out without further sorting.
@@ -146,6 +146,133 @@ def burst_window_plan(
         np.concatenate((overflow, drained)) if overflow.size else drained
     )
     return downstream, n_absorbed, scan_compares
+
+
+def group_ranks(groups: np.ndarray) -> np.ndarray:
+    """Rank of each element within its equal-valued group, order-preserving.
+
+    ``group_ranks([3, 5, 3, 3, 5]) == [0, 0, 1, 2, 1]``: the i-th element's
+    rank counts the earlier elements with the same group value.  Used to
+    assign bucket slots to newly-stored keys in first-arrival order.
+    """
+    n = groups.size
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    order = np.argsort(groups, kind="stable")
+    sorted_groups = groups[order]
+    positions = np.arange(n, dtype=np.int64)
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    starts[1:] = sorted_groups[1:] != sorted_groups[:-1]
+    group_start = np.maximum.accumulate(np.where(starts, positions, 0))
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = positions - group_start
+    return ranks
+
+
+@dataclass
+class BurstBatchPlan:
+    """One batch's Burst-Filter admission decisions.
+
+    All per-distinct arrays are ordered by first arrival (the order bucket
+    slots fill in the scalar path).
+    """
+
+    #: distinct keys in first-arrival order (``uint64``)
+    unique_keys: np.ndarray
+    #: bucket of each distinct key
+    buckets: np.ndarray
+    #: bucket slot of each distinct key (-1 for overflowed keys)
+    slots: np.ndarray
+    #: True where the distinct key is (or was already) stored
+    stored: np.ndarray
+    #: True where the distinct key was newly stored by this batch
+    newly_stored: np.ndarray
+    #: per-occurrence absorbed mask, aligned with the input key array
+    absorbed: np.ndarray
+    #: total absorbed occurrences
+    n_absorbed: int
+    #: scalar-equivalent ID comparisons of the whole batch
+    scan_compares: int
+
+
+def plan_burst_admission(
+    keys: np.ndarray,
+    buckets_of_unique,
+    capacity: int,
+    fill_of_unique=None,
+    slot_of_unique=None,
+) -> BurstBatchPlan:
+    """Compute a batch's Burst-Filter admission plan in one pass.
+
+    The open-window counterpart of :func:`burst_window_plan`, behind the
+    burst filters' ``insert_batch``.  ``buckets_of_unique`` maps the
+    first-arrival-ordered distinct-key array to bucket indexes (vectorized
+    hashing).  ``fill_of_unique`` / ``slot_of_unique`` report pre-existing
+    bucket fill and the slot of already-stored keys (-1 when absent); both
+    default to the empty-filter case.
+
+    The returned plan reproduces the scalar insert loop exactly:
+
+    * a distinct key is stored iff ``existing fill + arrival rank`` among
+      the batch's new keys in its bucket is below ``capacity``;
+    * every occurrence of a stored key is absorbed, every occurrence of a
+      non-stored key overflows (a full bucket never drains mid-window);
+    * ``scan_compares`` counts the sequential scan's early-exiting ID
+      comparisons: a key stored at slot ``s`` costs ``s`` compares to
+      append and ``s + 1`` per repeat hit; an overflowing occurrence scans
+      the full bucket for ``capacity`` compares.
+    """
+    unique, first_pos, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    counts = np.bincount(inverse, minlength=unique.size)
+    arrival = np.argsort(first_pos, kind="stable")
+    unique_keys = unique[arrival]
+    counts_ord = counts[arrival]
+    buckets = buckets_of_unique(unique_keys)
+
+    if slot_of_unique is None:
+        slots = np.full(unique_keys.size, -1, dtype=np.int64)
+    else:
+        slots = slot_of_unique(unique_keys, buckets)
+    present = slots >= 0
+    if fill_of_unique is None:
+        fill = np.zeros(unique_keys.size, dtype=np.int64)
+    else:
+        fill = fill_of_unique(buckets)
+
+    new = ~present
+    new_slots = fill[new] + group_ranks(buckets[new])
+    newly_stored = np.zeros(unique_keys.size, dtype=bool)
+    newly_stored[new] = new_slots < capacity
+    slots[new] = np.where(new_slots < capacity, new_slots, -1)
+    stored = present | newly_stored
+
+    absorbed_unique = np.zeros(unique.size, dtype=bool)
+    absorbed_unique[arrival] = stored
+    absorbed = absorbed_unique[inverse]
+    n_absorbed = int(counts_ord[stored].sum())
+
+    # scalar-scan compare accounting (early exit on hits, full scan on miss)
+    hit_cost = counts_ord[present] * (slots[present] + 1)
+    append_cost = (slots[newly_stored]
+                   + (counts_ord[newly_stored] - 1)
+                   * (slots[newly_stored] + 1))
+    overflow_cost = counts_ord[~stored] * capacity
+    scan_compares = int(hit_cost.sum()) + int(append_cost.sum()) \
+        + int(overflow_cost.sum())
+
+    return BurstBatchPlan(
+        unique_keys=unique_keys,
+        buckets=buckets,
+        slots=slots,
+        stored=stored,
+        newly_stored=newly_stored,
+        absorbed=absorbed,
+        n_absorbed=n_absorbed,
+        scan_compares=scan_compares,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -507,7 +634,9 @@ def ingest_window(sketch, keys: np.ndarray, timings=None) -> None:
         timings["burst"] += now - started
         started = now
     if downstream.size:
-        accepted = cold_insert_batch(sketch.cold, downstream)
+        # through the stage object, so a profiler's timing proxy sees the
+        # call and the counters land on the real Cold Filter
+        accepted = sketch.cold.insert_batch(downstream)
         if tick:
             now = tick()
             timings["cold"] += now - started

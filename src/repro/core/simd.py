@@ -28,8 +28,7 @@ from ..common.bitmem import ID_BITS
 from ..common.errors import ConfigError, MergeError
 from ..common.hashing import HashFamily
 from ..obs.events import BURST_ADMIT, BURST_DRAIN, BURST_OVERFLOW
-from .columnar import plan_burst_admission, window_downstream
-from .kernels import ENGINE_BATCHED, burst_window_plan
+from .kernels import ENGINE_KERNEL, burst_window_plan, plan_burst_admission
 
 #: 128-bit register / 32-bit IDs -> four comparisons per instruction.
 SIMD_LANES = 4
@@ -150,43 +149,16 @@ class VectorizedBurstFilter:
             tr.emit_bulk(BURST_OVERFLOW, keys[~plan.absorbed])
         return plan.absorbed
 
-    def window_batch(self, keys: np.ndarray):
+    def window_kernel(self, keys: np.ndarray):
         """Whole-window fast path: admission plus drain in one plan.
 
-        Same contract as :meth:`BurstFilter.window_batch
-        <repro.core.burst_filter.BurstFilter.window_batch>`: requires an
+        Same contract as :meth:`BurstFilter.window_kernel
+        <repro.core.burst_filter.BurstFilter.window_kernel>`: requires an
         empty filter (returns ``None`` otherwise), never touches bucket
         storage, and returns the downstream sequence — overflow occurrences
         in arrival order, then the stored keys in drain order.
-        """
-        if self._fill.any():
-            return None
-        keys = np.asarray(keys, dtype=np.uint64)
-        n = int(keys.size)
-        if not n:
-            return keys
-        self.hash_ops += n
-        self.compare_ops += n * self._vector_compares_per_scan
-        plan = plan_burst_admission(
-            keys,
-            lambda u: self._hash.index_batch(u, 0, self.n_buckets),
-            self.cells_per_bucket,
-        )
-        self.absorbed += plan.n_absorbed
-        self.overflowed += n - plan.n_absorbed
-        downstream = window_downstream(keys, plan, self.cells_per_bucket)
-        self._emit_window_bulks(downstream, n - plan.n_absorbed)
-        return downstream
-
-    def window_kernel(self, keys: np.ndarray):
-        """Whole-window fused path (``engine="kernel"``).
-
-        Same contract as :meth:`window_batch` — empty filter only (returns
-        ``None`` otherwise), storage untouched, downstream sequence out —
-        but computed by the fused two-sort plan
-        (:func:`repro.core.kernels.burst_window_plan`).  ``compare_ops``
-        keeps this class's vector cost model (the fused plan's scalar
-        early-exit count is discarded).
+        ``compare_ops`` keeps this class's vector cost model (the fused
+        plan's scalar early-exit count is discarded).
         """
         if self._fill.any():
             return None
@@ -398,52 +370,8 @@ class VectorizedBurstFilter:
         return obj
 
 
-class BatchWindowProcessor:
-    """Whole-window vectorized ingestion for a Hypersistent Sketch.
-
-    Where :class:`VectorizedBurstFilter` vectorizes one bucket scan at a
-    time (Algorithm 6), this processor vectorizes the *entire window*: the
-    window's records are deduplicated with one ``numpy.unique`` call —
-    computationally the Burst Filter's job done in a single data-parallel
-    pass — and only distinct keys walk the downstream stages.  It is the
-    natural end point of the paper's SIMD direction for batch pipelines
-    (e.g. replaying capture files), and the fastest ingestion path in this
-    library.
-    """
-
-    def __init__(self, sketch):
-        self.sketch = sketch
-        self.batches = 0
-        self.records = 0
-        self.distinct = 0
-
-    def process_window(self, items) -> None:
-        """Ingest one window's records (any iterable of int keys) at once."""
-        keys = np.asarray(list(items), dtype=np.int64)
-        self.batches += 1
-        self.records += keys.size
-        sketch = self.sketch
-        sketch.inserts += int(keys.size)
-        if keys.size:
-            unique = np.unique(keys)
-            self.distinct += int(unique.size)
-            # int64 -> uint64 reinterpret == the old per-key `& (2**64 - 1)`
-            sketch._insert_downstream_batch(unique.astype(np.uint64))
-        sketch.cold.end_window()
-        sketch.hot.end_window()
-        sketch.window += 1
-        tr = getattr(sketch, "trace", None)
-        if tr is not None and tr.enabled:
-            tr.rotate(sketch.window)
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Records per distinct (item, window) pair seen so far."""
-        return self.records / self.distinct if self.distinct else 0.0
-
-
 def make_hypersistent_simd(
-    config, engine: str = ENGINE_BATCHED
+    config, engine: str = ENGINE_KERNEL
 ) -> "HypersistentSketch":
     """A :class:`HypersistentSketch` whose stage 1 uses the SIMD scan path.
 

@@ -27,7 +27,7 @@ from ..common.errors import ConfigError
 from ..common.hashing import ItemKey
 from .config import HSConfig
 from .hypersistent import HypersistentSketch
-from .kernels import ENGINE_BATCHED
+from .kernels import ENGINE_KERNEL
 
 
 class SlidingHypersistentSketch:
@@ -37,9 +37,9 @@ class SlidingHypersistentSketch:
     per panel corresponds to ``memory_bytes / 2``.
 
     ``engine`` selects the batch ingestion backend exactly as on
-    :class:`HypersistentSketch` (``scalar``/``batched``/``kernel``); it is
-    applied to both panels and follows them through rotation.  All three
-    backends are bit-for-bit equivalent on the sliding wrapper too — the
+    :class:`HypersistentSketch` (``scalar`` or ``kernel``); it is applied
+    to both panels and follows them through rotation.  Both backends are
+    bit-for-bit equivalent on the sliding wrapper too — the
     ``sliding-engine-equivalence`` verify invariant pins this — so the
     engine is a runtime choice and never enters :meth:`state_dict`.
 
@@ -52,7 +52,7 @@ class SlidingHypersistentSketch:
     """
 
     def __init__(self, memory_bytes: int, horizon: int, seed: int = 42,
-                 engine: str = ENGINE_BATCHED):
+                 engine: str = ENGINE_KERNEL):
         if horizon < 2:
             raise ConfigError("sliding horizon must be >= 2 windows")
         if memory_bytes < 2:
@@ -101,8 +101,8 @@ class SlidingHypersistentSketch:
 
         The batch equivalent of ``insert`` x N + :meth:`end_window`, and
         bit-for-bit equivalent to it: the young panel ingests the window
-        through its engine-dispatched ``insert_window`` (scalar, columnar
-        plans, or the fused SoA kernels per :attr:`engine`), the old
+        through its engine-dispatched ``insert_window`` (the scalar oracle
+        or the fused SoA kernels per :attr:`engine`), the old
         panel fires its boundary to keep the flag epochs aligned, and the
         rotation bookkeeping runs exactly as the scalar path's.  Before
         this existed, batch callers (``run_stream`` auto-batching, the

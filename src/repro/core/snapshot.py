@@ -2,17 +2,13 @@
 
 Long-running monitors need to survive restarts without losing accumulated
 persistence state.  This module is the stable entry point; the heavy
-lifting lives in :mod:`repro.persist`:
-
-* sketches that implement ``state_dict()`` / ``from_state()`` (all the
-  sketch types this package ships) are saved through the pickle-free,
-  CRC32-checked binary codec and written atomically — a crash mid-save
-  leaves the previous snapshot intact, and any corruption of the file
-  raises :class:`SnapshotError` instead of loading a wrong sketch;
-* arbitrary objects (baseline sketches without a state contract) can
-  still round-trip through pickle, but only behind an explicit
-  ``allow_pickle=True`` opt-in on *both* ends, because unpickling
-  executes code from the file.  The legacy path writes atomically too.
+lifting lives in :mod:`repro.persist`.  Every sketch type this package
+restores implements ``state_dict()`` / ``from_state()`` and is saved
+through the pickle-free, CRC32-checked binary codec and written
+atomically — a crash mid-save leaves the previous snapshot intact, and any
+corruption of the file raises :class:`SnapshotError` instead of loading a
+wrong sketch.  Objects without a registered state contract are refused:
+nothing here ever unpickles.
 
 Estimates after a restore equal estimates without the restart, bit for
 bit — including the Hot Part's replacement RNG stream.
@@ -20,114 +16,38 @@ bit — including the Hot Part's replacement RNG stream.
 
 from __future__ import annotations
 
-import pickle
 from pathlib import Path
 from typing import Union
 
 from ..common.errors import SnapshotError
-from ..persist.codec import MAGIC as _CODEC_MAGIC
-from ..persist.codec import atomic_write_bytes
-from ..persist.state import load_state as _load_state
-from ..persist.state import save_state as _save_state
+from ..persist.state import load_state, save_state
 
 __all__ = ["SnapshotError", "save_sketch", "load_sketch"]
 
 PathLike = Union[str, Path]
 
-_PICKLE_MAGIC = "repro-sketch-snapshot"
-_PICKLE_FORMAT_VERSION = 1
 
-#: Exception types unpickling corrupt or foreign payloads is known to
-#: raise *besides* UnpicklingError: attribute/import errors from stale or
-#: hostile class paths, IndexError/ValueError/TypeError from truncated
-#: opcode streams, UnicodeDecodeError from mangled string opcodes,
-#: MemoryError from absurd length claims.
-_PICKLE_FAILURES = (
-    OSError,
-    pickle.UnpicklingError,
-    EOFError,
-    AttributeError,
-    ImportError,  # ModuleNotFoundError is its subclass
-    IndexError,
-    KeyError,
-    TypeError,
-    ValueError,
-    UnicodeDecodeError,
-    MemoryError,
-)
-
-
-def save_sketch(sketch, path: PathLike, allow_pickle: bool = False) -> None:
+def save_sketch(sketch, path: PathLike) -> None:
     """Write a restorable snapshot of a sketch, atomically.
 
-    Sketches with a ``state_dict()`` go through the versioned binary
-    codec (:mod:`repro.persist`).  Anything else needs
-    ``allow_pickle=True`` and is pickled — a legacy escape hatch for
-    baseline sketches; such files can only be loaded back with the same
-    opt-in.  Either way the bytes land in a temporary file first and
-    replace the target in one ``os.replace``, so a crash can never leave
-    a truncated snapshot where a good one was.
+    The sketch's class-tagged ``state_dict()`` goes through the versioned
+    binary codec (:mod:`repro.persist`); the bytes land in a temporary
+    file first and replace the target in one ``os.replace``, so a crash
+    can never leave a truncated snapshot where a good one was.  Objects
+    whose class is not registered for persistence raise
+    :class:`SnapshotError` before anything is written.
     """
-    if hasattr(sketch, "state_dict"):
-        _save_state(sketch, path)
-        return
-    if not allow_pickle:
-        raise SnapshotError(
-            f"{type(sketch).__name__} has no state_dict(); pass "
-            f"allow_pickle=True to save it through the legacy pickle path"
-        )
-    payload = {
-        "magic": _PICKLE_MAGIC,
-        "format": _PICKLE_FORMAT_VERSION,
-        "class": type(sketch).__qualname__,
-        "sketch": sketch,
-    }
-    atomic_write_bytes(
-        path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    )
+    save_state(sketch, path)
 
 
-def load_sketch(path: PathLike, expected_class: type = None,
-                allow_pickle: bool = False):
+def load_sketch(path: PathLike, expected_class: type = None):
     """Restore a sketch saved with :func:`save_sketch`.
 
-    Codec-format snapshots load without executing anything; legacy pickle
-    snapshots require ``allow_pickle=True`` (unpickling runs code from
-    the file — only enable it for files you wrote yourself).  Every
-    failure mode — missing file, truncation, bit flip, foreign bytes,
-    version drift — raises :class:`SnapshotError`.
+    Loading executes nothing from the file.  Every failure mode — missing
+    file, truncation, bit flip, foreign bytes, version drift — raises
+    :class:`SnapshotError`.
 
     ``expected_class`` (optional) guards against restoring the wrong kind
     of sketch into a pipeline.
     """
-    path = Path(path)
-    try:
-        with path.open("rb") as fh:
-            head = fh.read(len(_CODEC_MAGIC))
-    except OSError as exc:
-        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    if head == _CODEC_MAGIC:
-        return _load_state(path, expected_class=expected_class)
-    if not allow_pickle:
-        raise SnapshotError(
-            f"{path} is not a codec-format snapshot; if it is a legacy "
-            f"pickle snapshot, pass allow_pickle=True to load it"
-        )
-    try:
-        payload = pickle.loads(path.read_bytes())
-    except _PICKLE_FAILURES as exc:
-        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("magic") != _PICKLE_MAGIC:
-        raise SnapshotError(f"{path} is not a repro sketch snapshot")
-    if payload.get("format") != _PICKLE_FORMAT_VERSION:
-        raise SnapshotError(
-            f"{path}: snapshot format {payload.get('format')} "
-            f"!= supported {_PICKLE_FORMAT_VERSION}"
-        )
-    sketch = payload["sketch"]
-    if expected_class is not None and not isinstance(sketch, expected_class):
-        raise SnapshotError(
-            f"{path} holds a {payload['class']}, "
-            f"expected {expected_class.__qualname__}"
-        )
-    return sketch
+    return load_state(path, expected_class=expected_class)

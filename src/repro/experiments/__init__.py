@@ -11,7 +11,6 @@ from .harness import (
     repeat_median,
     run_algorithm,
     run_stream,
-    run_stream_batched,
     stage_distribution,
     time_queries,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "run_algorithm",
     "run_experiment",
     "run_stream",
-    "run_stream_batched",
     "spread_figure",
     "stage_distribution",
     "time_queries",

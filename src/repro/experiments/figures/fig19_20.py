@@ -24,10 +24,10 @@ from .common import (
 
 ALGORITHMS = ("HS", "HS-SIMD", "OO", "WS", "CM")
 
-#: fig 19 additionally reports the columnar whole-window ingestion path.
+#: fig 19 additionally reports the whole-window kernel ingestion path.
 #: Same sketch as HS-SIMD, fed through ``insert_window`` — identical hash
 #: ops per insert (the cost model is per-record), far higher wall-clock Mops.
-INSERT_ALGORITHMS = ALGORITHMS + ("HS-BATCH",)
+INSERT_ALGORITHMS = ALGORITHMS + ("HS-KERNEL",)
 
 
 def run_fig19(scale: Optional[float] = None) -> List[FigureResult]:

@@ -31,13 +31,13 @@ from ..streams.model import Trace
 #: Algorithm labels for the persistence-estimation task (figures 11-14, 19-20).
 ESTIMATION_ALGORITHMS = ("HS", "HS-SIMD", "OO", "WS", "CM", "PIE")
 
-#: Labels that stream through the columnar whole-window batch path (the
+#: Labels that stream through the whole-window batch path (the
 #: library-level fast ingestion pipeline; identical estimates, coalesced
 #: hashing).  The classic labels keep the paper's record-at-a-time loop so
-#: the figure-19 per-record cost reproduction is undisturbed.  ``HS-BATCH``
-#: runs the columnar plans, ``HS-KERNEL`` the fused structure-of-arrays
-#: kernels (:mod:`repro.core.kernels`); both are bit-identical to ``HS``.
-BATCHED_ALGORITHMS = ("HS-BATCH", "HS-KERNEL")
+#: the figure-19 per-record cost reproduction is undisturbed.
+#: ``HS-KERNEL`` runs the fused structure-of-arrays kernels
+#: (:mod:`repro.core.kernels`) and is bit-identical to ``HS``.
+BATCHED_ALGORITHMS = ("HS-KERNEL",)
 
 #: Algorithm labels for the finding-persistent-items task (figures 15-18).
 FINDING_ALGORITHMS = ("HS", "OO", "WS", "SS", "TS", "PS")
@@ -63,15 +63,14 @@ def make_estimator(
                 window_distinct_hint=window_distinct_hint,
             )
         )
-    if name in ("HS-SIMD", "HS-BATCH", "HS-KERNEL"):
-        # HS-BATCH / HS-KERNEL share the SIMD build: the vectorized Burst
-        # Filter is the fastest stage-1 under whole-window batches as well.
+    if name in ("HS-SIMD", "HS-KERNEL"):
+        # HS-KERNEL shares the SIMD build: the vectorized Burst Filter is
+        # the fastest stage-1 under whole-window batches as well.
         return make_hypersistent_simd(
             HSConfig.for_estimation(
                 memory_bytes, n_windows, seed=seed,
                 window_distinct_hint=window_distinct_hint,
-            ),
-            engine="kernel" if name == "HS-KERNEL" else "batched",
+            )
         )
     if name == "OO":
         return OnOffSketchV1(memory_bytes, depth=3, seed=seed)
@@ -138,7 +137,7 @@ def run_stream(
     Every window (including empty ones) ends with ``end_window`` so flag
     resets happen exactly ``n_windows`` times, as on a real timeline.
 
-    ``batched=None`` (the default) prefers the sketch's columnar
+    ``batched=None`` (the default) prefers the sketch's whole-window
     ``insert_window`` whenever it has one — the batch path is bit-for-bit
     equivalent to the record loop, so results are unchanged and only the
     wall clock improves.  Pass ``batched=False`` to force the
@@ -162,8 +161,8 @@ def run_stream(
     inside the measured span — keep it ``None`` for throughput runs.
 
     ``engine`` selects the sketch's batch ingestion backend
-    (``"scalar"``/``"batched"``/``"kernel"``) before streaming; all
-    backends are bit-identical, so this is a speed knob only.  Raises for
+    (``"scalar"`` or ``"kernel"``) before streaming; both backends are
+    bit-identical, so this is a speed knob only.  Raises for
     sketches without an engine selector rather than silently ignoring it.
 
     ``trace_recorder`` (a :class:`~repro.obs.trace.TraceRecorder`) wires
@@ -250,16 +249,6 @@ def run_stream(
     )
 
 
-def run_stream_batched(sketch, trace: Trace) -> RunResult:
-    """Columnar :func:`run_stream`: whole-window arrays, ``insert_window``.
-
-    The explicit batch entry point (``run_stream`` already auto-detects):
-    raises for sketches without the batch path instead of silently falling
-    back, which benchmarks comparing the two paths rely on.
-    """
-    return run_stream(sketch, trace, batched=True)
-
-
 def time_queries(sketch, keys: List[int]) -> ThroughputRecord:
     """Measure query-side throughput over a fixed key list."""
     ops_before = _hash_ops(sketch)
@@ -292,7 +281,7 @@ def run_algorithm(
 
     Classic paper labels stream record-at-a-time (their throughput series
     reproduce the paper's per-record cost); ``BATCHED_ALGORITHMS`` labels
-    stream through the columnar window path.  ``batched`` overrides, and
+    stream through the whole-window path.  ``batched`` overrides, and
     ``engine`` forces a specific batch backend (see :func:`run_stream`).
     """
     if task == "estimation":

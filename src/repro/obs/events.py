@@ -3,7 +3,7 @@
 Every routing decision the pipeline makes — a key absorbed by the Burst
 Filter, escalated from Cold Filter L1 to L2, promoted into or rejected
 from the Hot Part — maps to exactly one event kind here.  The scalar
-engine emits one event per decision; the batched/kernel engines emit
+engine emits one event per decision; the kernel engine emits
 *bulk* events reconstructed from the SoA masks after each wave, so a
 single :class:`StageEvent` may carry an array of keys.  Both encodings
 describe the same decisions and `repro explain` treats them uniformly.
@@ -90,7 +90,7 @@ class StageEvent(NamedTuple):
     """One recorded routing decision (or a bulk of identical decisions).
 
     ``key`` is set for scalar-engine events, ``keys`` (a ``uint64``
-    array) for bulk events from the batched/kernel engines; exactly one
+    array) for bulk events from the kernel engine; exactly one
     of the two is non-``None`` except for :data:`WINDOW_ROTATE`, which
     carries neither.  ``count`` is the number of occurrences covered and
     ``ts`` is seconds since the recorder was created (monotonic).

@@ -9,7 +9,7 @@ occupancy sits.  :class:`WindowProfiler` produces exactly that:
   stage objects for transparent timing proxies (the stages themselves are
   ``__slots__`` classes, so their methods cannot be patched in place —
   but the composed sketch's stage attributes can).  Every proxied hot
-  method (``insert``, ``insert_batch``, ``window_batch``, ...) accumulates
+  method (``insert``, ``insert_batch``, ``window_kernel``, ...) accumulates
   wall-time into a per-stage timer; everything else delegates untouched,
   so the scalar and batch ingest paths both profile through the same hooks.
 * ``window_closed(seconds)`` diffs the catalog counter snapshot against
@@ -47,7 +47,7 @@ STAGES = ("burst", "cold", "hot")
 #: (``drain``) are deliberately absent: their work interleaves with
 #: downstream inserts, so timing them would double-count.
 _TIMED_METHODS = (
-    "insert", "insert_batch", "window_batch", "drain_array",
+    "insert", "insert_batch", "window_kernel", "drain_array",
     "contains", "end_window", "query",
 )
 

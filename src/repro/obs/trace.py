@@ -11,7 +11,7 @@ Design constraints (mirroring the rest of :mod:`repro.obs`):
 * **Bounded** — events and spans live in ``deque(maxlen=capacity)``
   rings; a runaway stream evicts the oldest events instead of growing
   without bound.  ``TraceRecorder.dropped`` reports evictions.
-* **Loop-free on the kernel path** — the batched/kernel engines emit
+* **Loop-free on the kernel path** — the kernel engine emits
   *bulk* events whose key arrays are slices of the SoA planes already
   computed by the wave kernels; no per-item Python executes.
 

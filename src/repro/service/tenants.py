@@ -130,7 +130,14 @@ class TenantSpec:
 
     def _coerced(self) -> "TenantSpec":
         """Normalize JSON-borne field types (ints arrive as ints, but a
-        client may send floats or numeric strings)."""
+        client may send floats or numeric strings).
+
+        The retired ``"batched"`` engine, still named by tenant
+        checkpoints written before it was removed, maps to ``"kernel"``:
+        the engine is runtime-only and the engines were bit-identical, so
+        those state dirs recover byte-exact.
+        """
+        engine = str(self.engine)
         try:
             return TenantSpec(
                 name=str(self.name),
@@ -138,7 +145,7 @@ class TenantSpec:
                 memory_bytes=int(self.memory_bytes),
                 n_windows=int(self.n_windows),
                 seed=int(self.seed),
-                engine=str(self.engine),
+                engine=ENGINE_KERNEL if engine == "batched" else engine,
                 horizon=int(self.horizon),
                 n_shards=int(self.n_shards),
                 checkpoint_every=int(self.checkpoint_every),

@@ -2,8 +2,8 @@
 
 Every rule encodes a bug class this repository has shipped and fixed:
 nondeterministic iteration breaking replay (SC-DET), ``state_dict()``
-omissions breaking bit-identical resume (SC-PERSIST), unpickling outside
-the audited opt-in (SC-PICKLE), broad handlers swallowing decode errors
+omissions breaking bit-identical resume (SC-PERSIST), unpickling
+(SC-PICKLE), broad handlers swallowing decode errors
 (SC-EXC), float arithmetic feeding integer counters (SC-INT), and shared
 mutable defaults (SC-MUTDEF).  ``repro lint`` runs the engine from the
 CLI; ``scripts/check_lint.py`` is the CI gate with the

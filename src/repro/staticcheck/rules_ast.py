@@ -252,26 +252,22 @@ class DeterminismRule(Rule):
 
 
 class PickleRule(Rule):
-    """SC-PICKLE: unpickling outside the one audited opt-in site.
+    """SC-PICKLE: unpickling anywhere in the tree.
 
-    Unpickling executes code from the file being read.  The only place
-    allowed to do it is the ``allow_pickle=True`` legacy path in
-    ``core/snapshot.py``, which gates both ends behind an explicit opt-in
-    and converts every failure mode to ``SnapshotError``.
+    Unpickling executes code from the file being read.  Persistence goes
+    through the pickle-free codec (:mod:`repro.persist`), so no module is
+    allowed to load a pickle.
     """
 
     rule_id = "SC-PICKLE"
     severity = ERROR
-    description = "pickle.load/loads outside core/snapshot.py"
+    description = "pickle.load/loads (unpickling executes code)"
 
-    allowed_files = ("src/repro/core/snapshot.py",)
     _banned_attrs = frozenset({"load", "loads", "Unpickler"})
 
     def check_file(
         self, relpath: str, tree: ast.AST, source: str
     ) -> Iterable[Finding]:
-        if relpath in self.allowed_files:
-            return ()
         findings: List[Finding] = []
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) \
@@ -279,10 +275,8 @@ class PickleRule(Rule):
                     and _dotted(node) == f"pickle.{node.attr}":
                 findings.append(self.finding(
                     relpath, node,
-                    f"pickle.{node.attr} outside core/snapshot.py; "
-                    f"unpickling executes code from the file — use "
-                    f"repro.persist (codec) or route through "
-                    f"load_sketch(allow_pickle=True)",
+                    f"pickle.{node.attr}: unpickling executes code from "
+                    f"the file — use repro.persist (codec) instead",
                 ))
             elif isinstance(node, ast.ImportFrom) \
                     and node.module == "pickle":
@@ -293,8 +287,8 @@ class PickleRule(Rule):
                 if bad:
                     findings.append(self.finding(
                         relpath, node,
-                        f"importing {', '.join(bad)} from pickle outside "
-                        f"core/snapshot.py",
+                        f"importing {', '.join(bad)} from pickle; use "
+                        f"repro.persist (codec) instead",
                     ))
         return findings
 

@@ -91,7 +91,7 @@ class Trace:
         yield empty arrays, record order is preserved, and the arrays are
         slices of one contiguous canonicalized column, built once and
         cached in ``meta`` (the trace is immutable by convention).  Feed
-        them to ``insert_window`` / ``run_stream_batched``.
+        them to ``insert_window`` / ``run_stream``.
         """
         cached = self.meta.get("_window_arrays")
         if cached is not None:

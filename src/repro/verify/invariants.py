@@ -8,7 +8,7 @@ Every property the verification subsystem can check is a named
 * ``final`` — checked once per run against the exact oracle (one-sided
   error directions, report/query consistency, global bounds);
 * ``trace`` — self-contained metamorphic properties that build their own
-  sketches from a trace (scalar ≡ batched ≡ sharded-merge equivalence,
+  sketches from a trace (scalar ≡ kernel ≡ sharded-merge equivalence,
   snapshot round-trips, sliding-window coverage bounds).
 
 The catalog is consumed three ways: the fuzz driver runs every applicable
@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..baselines import OnOffSketchV1
 from ..core import (
+    ENGINES,
     HSConfig,
     HypersistentSketch,
     ShardedSketch,
@@ -421,7 +422,7 @@ def _scalar_feed(sketch, trace: Trace):
     return sketch
 
 
-def _batched_feed(sketch, trace: Trace):
+def _window_feed(sketch, trace: Trace):
     for window_keys in trace.window_arrays():
         sketch.insert_window(window_keys)
     return sketch
@@ -444,40 +445,6 @@ def _diff_keyed(name, reference, candidate, keys, label_a, label_b):
 
 
 @register_invariant(
-    "batch-equivalence", "trace",
-    "Record-at-a-time, insert_window, and SIMD-build ingestion produce "
-    "bit-identical estimates, reports, and counters",
-)
-def _check_batch_equivalence(
-    trace: Trace, config: VerifyConfig
-) -> List[Violation]:
-    hs_config = _estimation_config(trace, config)
-    scalar = _scalar_feed(HypersistentSketch(hs_config), trace)
-    batched = _batched_feed(HypersistentSketch(hs_config), trace)
-    simd = _batched_feed(make_hypersistent_simd(hs_config), trace)
-    out = []
-    # stats first: queries below move the hash-op counters, and they hit
-    # the scalar sketch once per comparison (twice in total)
-    if scalar.stats() != batched.stats():
-        out.append(Violation(
-            "batch-equivalence",
-            "scalar and batched stats() diverge",
-            details={"scalar": scalar.stats(), "batched": batched.stats()},
-        ))
-    keys = sample_keys(trace, _EQUIVALENCE_KEY_CAP)
-    out += _diff_keyed("batch-equivalence", scalar, batched, keys,
-                       "scalar", "batched")
-    out += _diff_keyed("batch-equivalence", scalar, simd, keys,
-                       "scalar", "simd")
-    if scalar.report(1) != batched.report(1):
-        out.append(Violation(
-            "batch-equivalence",
-            "scalar and batched report(1) diverge",
-        ))
-    return out
-
-
-@register_invariant(
     "kernel-equivalence", "trace",
     "The whole-window SoA kernel backend (engine=\"kernel\") matches the "
     "scalar oracle bit-for-bit: counters, estimates, reports, and the "
@@ -488,10 +455,9 @@ def _check_kernel_equivalence(
 ) -> List[Violation]:
     hs_config = _estimation_config(trace, config)
     scalar = _scalar_feed(HypersistentSketch(hs_config), trace)
-    kernel = _batched_feed(
+    kernel = _window_feed(
         HypersistentSketch(hs_config, engine="kernel"), trace)
-    simd_kernel = _batched_feed(
-        make_hypersistent_simd(hs_config, engine="kernel"), trace)
+    simd_kernel = _window_feed(make_hypersistent_simd(hs_config), trace)
     out = []
     # stats first: queries below move the hash-op counters, and they hit
     # the scalar sketch once per comparison (twice in total)
@@ -525,7 +491,7 @@ def _check_kernel_equivalence(
 
 @register_invariant(
     "sharded-merge-equivalence", "trace",
-    "Sharded ingestion (scalar, batched, parallel) agrees with itself and "
+    "Sharded ingestion (scalar, window, parallel) agrees with itself and "
     "its report is the disjoint union of the shards' reports",
 )
 def _check_sharded_equivalence(
@@ -544,14 +510,14 @@ def _check_sharded_equivalence(
         )
 
     scalar = _scalar_feed(build(), trace)
-    batched = build()
+    windowed = build()
     parallel = build()
     for window_keys in trace.window_arrays():
-        batched.insert_window(window_keys)
+        windowed.insert_window(window_keys)
         parallel.insert_window(window_keys, parallel=True)
     keys = sample_keys(trace, _EQUIVALENCE_KEY_CAP)
-    out = _diff_keyed("sharded-merge-equivalence", scalar, batched, keys,
-                      "scalar", "batched")
+    out = _diff_keyed("sharded-merge-equivalence", scalar, windowed, keys,
+                      "scalar", "window")
     out += _diff_keyed("sharded-merge-equivalence", scalar, parallel, keys,
                        "scalar", "parallel")
     merged = scalar.report(1)
@@ -699,7 +665,7 @@ def _check_checkpoint_resume(
     if trace.n_windows < 2:
         return []
     hs_config = _estimation_config(trace, config)
-    original = _batched_feed(HypersistentSketch(hs_config), trace)
+    original = _window_feed(HypersistentSketch(hs_config), trace)
     partial = HypersistentSketch(hs_config)
     arrays = trace.window_arrays()
     mid = trace.n_windows // 2
@@ -829,7 +795,7 @@ def _check_explain_consistency(
         builds = []
         for label, engine, feed in (
             ("scalar", "scalar", _scalar_feed),
-            ("kernel", "kernel", _batched_feed),
+            ("kernel", "kernel", _window_feed),
         ):
             sketch = HypersistentSketch(hs_config, engine=engine)
             TraceRecorder().attach(sketch)  # events must not skew anything
@@ -995,7 +961,7 @@ def _check_merge_equivalence(
         _estimation_config(trace, config), seed=config.seed
     )
     sketches = [
-        _batched_feed(HypersistentSketch(shared), part)
+        _window_feed(HypersistentSketch(shared), part)
         for part in partition_trace(trace, 3, config.seed)
     ]
     a, b, c = (
@@ -1105,7 +1071,7 @@ def _check_pipeline_crash_recovery(
 @register_invariant(
     "sliding-engine-equivalence", "trace",
     "The sliding wrapper's batch paths (insert_window / insert_batch on "
-    "engines scalar, batched, kernel) match its record-at-a-time oracle "
+    "every engine) match its record-at-a-time oracle "
     "bit-for-bit: snapshot bytes, estimates, and reports",
 )
 def _check_sliding_engine_equivalence(
@@ -1122,8 +1088,8 @@ def _check_sliding_engine_equivalence(
 
     reference = _scalar_feed(build("scalar"), trace)
     candidates = [
-        (f"{engine}-window", _batched_feed(build(engine), trace))
-        for engine in ("scalar", "batched", "kernel")
+        (f"{engine}-window", _window_feed(build(engine), trace))
+        for engine in ENGINES
     ]
     # a split feed exercises insert_batch + end_window (open-window path)
     split = build("kernel")

@@ -26,6 +26,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "t.npz"],
+        ["trace", "t.npz"],
+        ["explain", "t.npz", "7"],
+        ["checkpoint", "t.npz"],
+        ["resume", "c.bin", "t.npz"],
+        ["pipeline", "t.npz"],
+    ], ids=lambda argv: argv[0])
+    def test_retired_batched_engine_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--engine", "batched"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'batched'" in capsys.readouterr().err
+
 
 class TestListExperiments:
     def test_lists_all_figures(self, capsys):
@@ -162,7 +176,7 @@ class TestFuzzJobs:
     def test_parallel_campaign_matches_sequential(self, tmp_path,
                                                   capsys):
         args = ["fuzz", "--seed", "3", "--cases", "4", "--quiet",
-                "--invariants", "batch-equivalence",
+                "--invariants", "kernel-equivalence",
                 "--out", str(tmp_path / "f")]
         assert main(args) == 0
         seq = capsys.readouterr().out

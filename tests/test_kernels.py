@@ -1,13 +1,13 @@
 """Property tests for the whole-window SoA kernel backend.
 
-:mod:`repro.core.kernels` claims the same contract the batched path
-already honours — bit-for-bit equivalence with the record-at-a-time
-scalar oracle — but delivers each stage's window update as a handful of
-array ops.  These tests pin the claim per stage (Burst window kernel,
-Cold wave engine, Hot rounds under both replacement policies) and for
-the composed sketch behind the ``engine`` selector, including the shapes
-the kernels special-case: empty windows, single-key windows, and
-all-duplicate windows.
+:mod:`repro.core.kernels` claims bit-for-bit equivalence with the
+record-at-a-time scalar oracle while delivering each stage's window
+update as a handful of array ops.  These tests pin the claim per stage
+(Burst window kernel and open-window admission plans, Cold wave engine,
+Hot rounds under both replacement policies) and for the composed sketch
+behind the ``engine`` selector — including open-window ``insert_batch``
+and the telemetry views — and the shapes the kernels special-case: empty
+windows, single-key windows, and all-duplicate windows.
 
 The same properties run as the ``kernel-equivalence`` entry of the
 verify catalog (``repro verify`` / ``repro fuzz``); keeping them here
@@ -27,11 +27,20 @@ from repro.core import (
     ShardedSketch,
     make_hypersistent_simd,
 )
+from repro.core.burst_filter import BurstFilter
 from repro.core.cold_filter import ColdFilter
 from repro.core.config import REPLACE_HASH, REPLACE_RANDOM
 from repro.core.hot_part import HotPart
-from repro.core.kernels import ingest_window
+from repro.core.kernels import group_ranks, ingest_window, plan_burst_admission
 from repro.core.simd import VectorizedBurstFilter
+from repro.obs import (
+    MetricsRegistry,
+    bind_sketch,
+    parse_prometheus,
+    sketch_metrics,
+    to_prometheus,
+)
+from repro.obs.catalog import LEGACY_SKETCH_KEYS
 from repro.persist import encode_state
 
 # Windowed streams biased toward the kernel's edge shapes: some windows
@@ -176,10 +185,12 @@ class TestEngineSelector:
         sketch = HypersistentSketch(config)
         with pytest.raises(ConfigError, match="unknown engine"):
             sketch.engine = "turbo"
-        assert set(ENGINES) == {"scalar", "batched", "kernel"}
+        assert ENGINES == ("scalar", "kernel")
+        assert sketch.engine == "kernel"  # the default fast path
+        with pytest.raises(ConfigError, match="unknown engine"):
+            HypersistentSketch(config, engine="batched")  # retired
 
-    @given(windows=windows_strategy, engine=st.sampled_from(
-        ["scalar", "batched", "kernel"]))
+    @given(windows=windows_strategy, engine=st.sampled_from(ENGINES))
     @settings(max_examples=40, deadline=None)
     def test_every_engine_matches_scalar_oracle(self, windows, engine):
         config = HSConfig.for_estimation(2 * 1024, len(windows), seed=9)
@@ -196,8 +207,7 @@ class TestEngineSelector:
     def test_simd_build_kernel_engine_matches_oracle(self, windows):
         config = HSConfig.for_estimation(2 * 1024, len(windows), seed=9)
         oracle = scalar_feed(HypersistentSketch(config), windows)
-        simd = kernel_feed(
-            make_hypersistent_simd(config, engine="kernel"), windows)
+        simd = kernel_feed(make_hypersistent_simd(config), windows)
         for key in all_keys(windows):
             assert oracle.query(key) == simd.query(key)
         assert oracle.report(1) == simd.report(1)
@@ -210,12 +220,12 @@ class TestEngineSelector:
         blobs = [encode_state(
             kernel_feed(HypersistentSketch(config, engine=e),
                         windows).state_dict())
-            for e in ("scalar", "batched", "kernel")]
-        assert blobs[0] == blobs[1] == blobs[2]
+            for e in ENGINES]
+        assert blobs[0] == blobs[1]
         restored = HypersistentSketch.from_state(
-            kernel_feed(HypersistentSketch(config, engine="kernel"),
+            kernel_feed(HypersistentSketch(config, engine="scalar"),
                         windows).state_dict())
-        assert restored.engine == "batched"  # runtime-only, not restored
+        assert restored.engine == "kernel"  # runtime-only: the default
         assert encode_state(restored.state_dict()) == blobs[0]
 
     @given(windows=windows_strategy)
@@ -231,6 +241,138 @@ class TestEngineSelector:
         assert all(v >= 0.0 for v in timings.values())
         oracle = scalar_feed(HypersistentSketch(config), windows)
         assert oracle.stats() == sketch.stats()
+
+
+class TestSketchEquivalence:
+    @given(windows=windows_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_registry_counters_identical_across_paths(self, windows):
+        # the canonical telemetry view, not just the legacy stats() dict,
+        # must agree between record-at-a-time and kernel ingestion
+        config = HSConfig.for_estimation(2 * 1024, len(windows), seed=9)
+        scalar = scalar_feed(HypersistentSketch(config), windows)
+        kernel = kernel_feed(HypersistentSketch(config), windows)
+        assert sketch_metrics(scalar) == sketch_metrics(kernel)
+
+    @given(windows=windows_strategy)
+    @settings(max_examples=20, deadline=None)
+    def test_prometheus_snapshot_matches_stats_on_both_paths(self, windows):
+        config = HSConfig.for_estimation(2 * 1024, len(windows), seed=9)
+        for feed in (scalar_feed, kernel_feed):
+            sketch = feed(HypersistentSketch(config), windows)
+            registry = MetricsRegistry()
+            bind_sketch(registry, sketch)
+            parsed = parse_prometheus(to_prometheus(registry))
+            stats = sketch.stats()
+            for legacy_key, canonical in LEGACY_SKETCH_KEYS.items():
+                if legacy_key in stats:
+                    assert parsed[(canonical, ())] == stats[legacy_key]
+
+    @given(windows=windows_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_insert_batch_open_window_equals_scalar(self, windows):
+        # insert_batch keeps the window open; close it separately
+        config = HSConfig.for_estimation(2 * 1024, len(windows), seed=3)
+        scalar = scalar_feed(HypersistentSketch(config), windows)
+        batched = HypersistentSketch(config)
+        for items in windows:
+            batched.insert_batch(items)
+            batched.end_window()
+        assert scalar.stats() == batched.stats()
+        for key in all_keys(windows):
+            assert scalar.query(key) == batched.query(key)
+
+
+class TestBurstFilterEquivalence:
+    """Open-window ``insert_batch`` (buckets may already hold keys)."""
+
+    @given(batches=st.lists(batch_strategy, min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_plain_insert_batch_matches_scalar(self, batches):
+        scalar = BurstFilter(4, 3, seed=7)
+        batched = BurstFilter(4, 3, seed=7)
+        for batch in batches:
+            expected = np.array(
+                [scalar.insert(k) for k in batch], dtype=bool
+            )
+            got = batched.insert_batch(np.array(batch, dtype=np.uint64))
+            assert np.array_equal(expected, got)
+        assert scalar.hash_ops == batched.hash_ops
+        assert scalar.compare_ops == batched.compare_ops
+        assert scalar.absorbed == batched.absorbed
+        assert scalar.overflowed == batched.overflowed
+        assert list(scalar.drain()) == batched.drain_array().tolist()
+
+    @given(batches=st.lists(batch_strategy, min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_vectorized_insert_batch_matches_scalar(self, batches):
+        scalar = VectorizedBurstFilter(4, 3, seed=7)
+        batched = VectorizedBurstFilter(4, 3, seed=7)
+        for batch in batches:
+            expected = np.array(
+                [scalar.insert(k) for k in batch], dtype=bool
+            )
+            got = batched.insert_batch(np.array(batch, dtype=np.uint64))
+            assert np.array_equal(expected, got)
+        assert scalar.absorbed == batched.absorbed
+        assert scalar.overflowed == batched.overflowed
+        # the vectorized scan costs a fixed lane-block count per insert,
+        # batched or not
+        assert scalar.compare_ops == batched.compare_ops
+        assert list(scalar.drain()) == batched.drain_array().tolist()
+
+    @given(batch=batch_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_vectorized_matches_plain_decisions(self, batch):
+        plain = BurstFilter(4, 3, seed=7)
+        vector = VectorizedBurstFilter(4, 3, seed=7)
+        keys = np.array(batch, dtype=np.uint64)
+        assert np.array_equal(
+            plain.insert_batch(keys), vector.insert_batch(keys)
+        )
+        assert list(plain.drain()) == list(vector.drain())
+
+
+class TestBurstPlanPrimitives:
+    @given(groups=st.lists(st.integers(min_value=0, max_value=6),
+                           max_size=50))
+    @settings(max_examples=80, deadline=None)
+    def test_group_ranks(self, groups):
+        arr = np.array(groups, dtype=np.int64)
+        ranks = group_ranks(arr)
+        seen = {}
+        for value, rank in zip(groups, ranks.tolist()):
+            assert rank == seen.get(value, 0)
+            seen[value] = rank + 1
+
+    @given(batch=batch_strategy, capacity=st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_plan_reproduces_reference_admission(self, batch, capacity):
+        keys = np.array(batch, dtype=np.uint64)
+        plan = plan_burst_admission(
+            keys, lambda u: (u % np.uint64(3)).astype(np.int64), capacity
+        )
+        buckets = {}
+        compares = 0
+        for i, key in enumerate(batch):
+            bucket = buckets.setdefault(key % 3, [])
+            hit = False
+            for stored in bucket:
+                compares += 1
+                if stored == key:
+                    hit = True
+                    break
+            if hit:
+                assert plan.absorbed[i]
+            elif len(bucket) < capacity:
+                bucket.append(key)
+                assert plan.absorbed[i]
+            else:
+                assert not plan.absorbed[i]
+        assert plan.scan_compares == compares
+        stored_keys = [k for b in sorted(buckets) for k in buckets[b]]
+        assert sorted(plan.unique_keys[plan.stored].tolist()) == \
+            sorted(stored_keys)
 
 
 class TestShardedEngine:

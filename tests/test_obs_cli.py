@@ -34,7 +34,7 @@ class TestEstimateProfile:
             assert stage in out
 
     def test_batch_algorithm_profiles_too(self, trace_file, capsys):
-        assert main(["estimate", trace_file, "--algorithm", "HS-BATCH",
+        assert main(["estimate", trace_file, "--algorithm", "HS-KERNEL",
                      "--memory-kb", "16", "--profile"]) == 0
         assert "stage-latency profile" in capsys.readouterr().out
 

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core import HSConfig, HypersistentSketch, make_hypersistent_simd
+from repro.core import (
+    ENGINES,
+    HSConfig,
+    HypersistentSketch,
+    make_hypersistent_simd,
+)
 from repro.experiments.harness import run_stream
 from repro.obs import (
     MetricsRegistry,
@@ -170,13 +175,22 @@ class TestHarnessIntegration:
             # stage time must have been observed on both ingest paths
             assert result.profile["stage_seconds"]["cold"] > 0
 
-    def test_profiled_run_matches_unprofiled(self):
+    @pytest.mark.parametrize("build", [HypersistentSketch,
+                                       make_hypersistent_simd],
+                             ids=["plain", "simd"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_profiled_run_matches_unprofiled(self, engine, build):
+        # the timing proxies must let every stage counter update reach the
+        # real stage, on both engines and both burst builds
         trace = zipf_trace(2000, 10, seed=11, n_items=200)
         config = HSConfig.for_estimation(8 * 1024, 10, seed=3)
-        plain = run_stream(HypersistentSketch(config), trace)
-        profiled = run_stream(HypersistentSketch(config), trace,
+        plain = run_stream(build(config), trace, engine=engine)
+        profiled = run_stream(build(config), trace, engine=engine,
                               profiler=WindowProfiler())
         assert plain.stats == profiled.stats
+        # every stage's time is observed, burst included on the kernel path
+        for stage in ("burst", "cold", "hot"):
+            assert profiled.profile["stage_seconds"][stage] > 0, stage
 
 
 class TestLegacyParity:

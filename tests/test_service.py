@@ -413,6 +413,45 @@ class TestRecovery:
         assert run(second()) == encode_state(offline.state_dict())
 
 
+    def test_state_dir_naming_retired_batched_engine_recovers(
+        self, tmp_path, windows
+    ):
+        """A tenant checkpoint written when ``"batched"`` was still an
+        engine recovers byte-exact, now running on ``"kernel"``."""
+        from repro.persist import save_run_checkpoint
+        from repro.service.service import CKPT_SUFFIX, META_SERVICE_KEY
+
+        spec = flat_spec("old", checkpoint_every=4)
+        old_spec = dict(TenantSpec.from_dict(spec).to_dict(),
+                        engine="batched")
+        saved = offline_flat(windows[:4], spec)
+        save_run_checkpoint(
+            saved, tmp_path / f"old{CKPT_SUFFIX}", 4,
+            meta={META_SERVICE_KEY: True, "spec": old_spec},
+        )
+
+        async def main():
+            service = SketchService(state_dir=tmp_path)
+            assert await service.start() == ["old"]
+            status = service.tenant_status("old")
+            assert status["windows_done"] == 4
+            assert status["spec"]["engine"] == "kernel"
+            sketch = service.tenants["old"].sketch
+            assert sketch.engine == "kernel"
+            recovered = encode_state(sketch.state_dict())
+            for window in windows[4:]:
+                await service.ingest("old", window)
+                await service.end_window("old")
+            finished = encode_state(sketch.state_dict())
+            await service.close()
+            return recovered, finished
+
+        recovered, finished = run(main())
+        assert recovered == encode_state(saved.state_dict())
+        assert finished == encode_state(
+            offline_flat(windows, spec).state_dict())
+
+
 class _LiveServer:
     """A real ServiceServer on an ephemeral port, on a loop thread."""
 

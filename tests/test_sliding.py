@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.core import ENGINES
 from repro.core.sliding import SlidingHypersistentSketch
 
 
@@ -151,8 +152,8 @@ class TestReport:
 
 
 class TestBatchPaths:
-    """The batch-path bugfix: insert_window / insert_batch on all three
-    engines must be bit-identical to the record-at-a-time path (before
+    """The batch-path bugfix: insert_window / insert_batch on every
+    engine must be bit-identical to the record-at-a-time path (before
     this, batch callers silently degraded to scalar per-item inserts)."""
 
     @pytest.fixture(scope="class")
@@ -172,7 +173,7 @@ class TestBatchPaths:
             ref.end_window()
         return encode_state(ref.state_dict())
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "kernel"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_insert_window_matches_scalar_oracle(
         self, pattern, reference_bytes, engine
     ):
@@ -184,7 +185,7 @@ class TestBatchPaths:
             sw.insert_window(window)
         assert encode_state(sw.state_dict()) == reference_bytes
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "kernel"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_split_insert_batch_matches_scalar_oracle(
         self, pattern, reference_bytes, engine
     ):
@@ -200,9 +201,10 @@ class TestBatchPaths:
 
     def test_engine_setter_switches_both_panels(self):
         sw = SlidingHypersistentSketch(memory_bytes=16 * 1024, horizon=4)
-        sw.engine = "kernel"
-        assert sw._young.engine == "kernel"
-        assert sw._old.engine == "kernel"
+        assert sw.engine == "kernel"  # the default
+        sw.engine = "scalar"
+        assert sw._young.engine == "scalar"
+        assert sw._old.engine == "scalar"
         with pytest.raises(ConfigError):
             sw.engine = "warp-drive"
 
@@ -232,8 +234,8 @@ class TestBatchPaths:
 
     def test_engine_not_serialized(self):
         sw = SlidingHypersistentSketch(memory_bytes=16 * 1024, horizon=4,
-                                       engine="kernel")
+                                       engine="scalar")
         state = sw.state_dict()
         assert "engine" not in state
         restored = SlidingHypersistentSketch.from_state(state)
-        assert restored.engine == "batched"  # the default, not "kernel"
+        assert restored.engine == "kernel"  # the default, not "scalar"

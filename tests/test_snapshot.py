@@ -6,6 +6,7 @@ from repro.baselines import OnOffSketchV1
 from repro.core import (
     HSConfig,
     HypersistentSketch,
+    SlidingHypersistentSketch,
     SnapshotError,
     load_sketch,
     save_sketch,
@@ -54,37 +55,19 @@ class TestRoundTrip:
         restored = load_sketch(tmp_path / "s.pkl")
         assert restored.query(trace.items[0]) == sketch.query(trace.items[0])
 
-    def test_baseline_roundtrip(self, trace, tmp_path):
-        # baselines have no state_dict, so they ride the explicit
-        # pickle opt-in on both the save and the load side
-        oo = OnOffSketchV1(4096)
-        _stream(oo, trace)
-        save_sketch(oo, tmp_path / "oo.pkl", allow_pickle=True)
-        restored = load_sketch(tmp_path / "oo.pkl",
-                               expected_class=OnOffSketchV1,
-                               allow_pickle=True)
-        truth = exact_persistence(trace)
-        sample = list(truth)[:50]
-        assert all(restored.query(k) == oo.query(k) for k in sample)
-
 
 class TestPickleGate:
-    def test_save_without_state_dict_requires_opt_in(self, tmp_path):
+    def test_save_without_state_dict_is_refused(self, tmp_path):
+        # baselines have no state contract: refused, nothing written
         with pytest.raises(SnapshotError):
-            save_sketch(OnOffSketchV1(4096), tmp_path / "oo.pkl")
-
-    def test_load_pickle_file_requires_opt_in(self, tmp_path):
-        oo = OnOffSketchV1(4096)
-        save_sketch(oo, tmp_path / "oo.pkl", allow_pickle=True)
-        with pytest.raises(SnapshotError):
-            load_sketch(tmp_path / "oo.pkl")
+            save_sketch(OnOffSketchV1(4096), tmp_path / "oo.bin")
+        assert not (tmp_path / "oo.bin").exists()
 
     def test_codec_sketches_never_pickle(self, tmp_path):
         sketch = HypersistentSketch(HSConfig.for_estimation(8 * 1024, 10))
         save_sketch(sketch, tmp_path / "hs.bin")
         data = (tmp_path / "hs.bin").read_bytes()
         assert data.startswith(b"RPRCKPT1")
-        # codec files load without the pickle opt-in
         load_sketch(tmp_path / "hs.bin")
 
 
@@ -112,13 +95,12 @@ class TestFailureModes:
         ],
     )
     def test_garbage_bytes_raise_snapshot_error(self, tmp_path, garbage):
-        # regression: corrupt/foreign pickles raise AttributeError,
-        # ImportError, IndexError, UnicodeDecodeError... — every one must
-        # surface as SnapshotError, even with the pickle opt-in
+        # regression: corrupt or foreign bytes — pickle streams
+        # included — must surface as SnapshotError, never be executed
         path = tmp_path / "junk.pkl"
         path.write_bytes(garbage)
         with pytest.raises(SnapshotError):
-            load_sketch(path, allow_pickle=True)
+            load_sketch(path)
 
     def test_wrong_payload(self, tmp_path):
         import pickle
@@ -126,15 +108,15 @@ class TestFailureModes:
         path = tmp_path / "other.pkl"
         path.write_bytes(pickle.dumps({"something": "else"}))
         with pytest.raises(SnapshotError):
-            load_sketch(path, allow_pickle=True)
+            load_sketch(path)
 
     def test_class_guard(self, trace, tmp_path):
-        oo = OnOffSketchV1(4096)
-        save_sketch(oo, tmp_path / "oo.pkl", allow_pickle=True)
+        sketch = HypersistentSketch(HSConfig.for_estimation(8 * 1024, 10))
+        _stream(sketch, trace, stop=5)
+        save_sketch(sketch, tmp_path / "hs.bin")
         with pytest.raises(SnapshotError):
-            load_sketch(tmp_path / "oo.pkl",
-                        expected_class=HypersistentSketch,
-                        allow_pickle=True)
+            load_sketch(tmp_path / "hs.bin",
+                        expected_class=SlidingHypersistentSketch)
 
     def test_failed_save_preserves_existing_snapshot(self, tmp_path):
         path = tmp_path / "ckpt.bin"
@@ -145,5 +127,5 @@ class TestFailureModes:
         save_sketch(sketch, path)
         good = path.read_bytes()
         with pytest.raises(SnapshotError):
-            save_sketch(object(), path)  # no state_dict, no opt-in
+            save_sketch(object(), path)  # no state contract
         assert path.read_bytes() == good

@@ -374,13 +374,12 @@ MUTATIONS = {
         '            "window_salt": self._window_salt,\n',
         "",
     ),
+    # planted in the snapshot module: no file is exempt
     "SC-PICKLE": (
-        "src/repro/persist/_mut_pickle.py",
-        None,
-        "import pickle\n\n"
-        "def read(path):\n"
-        "    with open(path, 'rb') as handle:\n"
-        "        return pickle.load(handle)\n",
+        "src/repro/core/snapshot.py",
+        "    return load_state(path, expected_class=expected_class)\n",
+        "    import pickle\n"
+        "    return pickle.loads(Path(path).read_bytes())\n",
     ),
     "SC-EXC": (
         "src/repro/persist/_mut_exc.py",

@@ -6,7 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import HSConfig, HypersistentSketch, make_hypersistent_simd
+from repro.core import (
+    ENGINES,
+    HSConfig,
+    HypersistentSketch,
+    make_hypersistent_simd,
+)
 from repro.obs import (
     EVENT_KINDS,
     TraceRecorder,
@@ -20,7 +25,6 @@ from repro.obs.events import EXPORT_KEY_CAP, WINDOW_ROTATE
 from repro.obs.trace import STAGE_SPAN_ORDER
 from repro.persist import encode_state
 
-ENGINES = ("scalar", "batched", "kernel")
 
 
 def make_windows(n_windows=6, per_window=80, n_items=30, seed=3):
@@ -129,7 +133,7 @@ class TestEngineEvents:
                 engine, n_windows=len(windows), memory_kb=2)
             feed(sketch, windows)
             counts[engine] = kind_counts(recorder)
-        assert counts["scalar"] == counts["batched"] == counts["kernel"]
+        assert counts["scalar"] == counts["kernel"]
         # the workload genuinely exercises every pipeline stage
         seen = set(counts["scalar"])
         for kind in ("burst_admit", "burst_drain", "cold_l1_accept",
@@ -177,13 +181,6 @@ class TestSpans:
         window_span = next(s for s in first if s.name == "window")
         stage_total = sum(s.dur for s in first if s.name != "window")
         assert window_span.dur == pytest.approx(stage_total)
-
-    def test_batched_records_whole_window_spans_only(self):
-        windows = make_windows()
-        sketch, recorder = traced_sketch("batched", n_windows=len(windows))
-        feed(sketch, windows)
-        assert len(recorder.spans) == len(windows)
-        assert {span.name for span in recorder.spans} == {"window"}
 
     def test_scalar_records_no_spans(self):
         sketch, recorder = traced_sketch("scalar")

@@ -51,9 +51,9 @@ class TestCatalog:
 
     def test_require_known_rejects_typos(self):
         require_known(None)
-        require_known(["batch-equivalence"])
+        require_known(["kernel-equivalence"])
         with pytest.raises(ConfigError):
-            require_known(["batch-equivalense"])
+            require_known(["kernel-equivalense"])
 
     def test_violation_serialization(self):
         v = Violation("x", "boom", window=3, key=9, details={"a": 1})
@@ -166,9 +166,9 @@ class TestMutationSmoke:
                               max_failures=1)
             assert report.n_failed == 1
             failure = report.failures[0]
-            # the scalar path lost a key, so scalar vs batch must diverge
+            # the scalar path lost a key, so scalar vs kernel must diverge
             tripped = {v.invariant for v in failure.violations}
-            assert "batch-equivalence" in tripped
+            assert "kernel-equivalence" in tripped
             # shrinking only ever simplifies, and keeps the same bug
             assert failure.shrunk_spec.size() <= failure.spec.size()
             assert failure.shrink_rounds >= 1
@@ -238,7 +238,7 @@ class TestCli:
         from repro.streams.io import save_trace_csv
         assert main(["verify", "--list"]) == 0
         out = capsys.readouterr().out
-        assert "batch-equivalence" in out
+        assert "kernel-equivalence" in out
         path = tmp_path / "t.csv"
         save_trace_csv(small_trace(), path)
         assert main(["verify", str(path), "--memory-kb", "8",
