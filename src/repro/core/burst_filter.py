@@ -1,31 +1,43 @@
-"""Stage 1 — the Burst Filter (paper Section III-D, Algorithm 3).
+"""Stage 1 — the Burst Filter (paper Sections III-D and III-H).
 
 A tiny ID store that absorbs repeated occurrences of an item inside one time
 window.  Persistence grows by at most one per window, so only the *first*
 occurrence matters; keeping the IDs here and flushing them once at the window
 boundary skips the Cold Filter's multi-hash work for every repeat.
 
-Structure: ``w`` buckets of ``gamma`` ID cells.  Insert hashes to one bucket:
+Structure: ``w`` buckets of ``gamma`` ID cells.  Insert hashes to one bucket
+(Algorithm 3):
 
 1. item already present              -> absorbed (no-op);
 2. empty cell                        -> stored, absorbed;
 3. bucket full                       -> NOT absorbed (caller forwards the
    item to the Cold Filter immediately, Algorithm 4 handles this).
 
-At the window end :meth:`drain` yields every stored ID exactly once and
-clears the filter.
+At the window end :meth:`BurstFilter.drain` yields every stored ID exactly
+once and clears the filter.
 
-Storage is structure-of-arrays: a contiguous ``(w, gamma)`` ``uint64`` key
-matrix plus a per-bucket fill vector (the layout
-:class:`~repro.core.simd.VectorizedBurstFilter` proved out), so the batch
-paths scatter whole plans with numpy fancy indexing and the membership
-probes are masked vector compares.  The instrumentation keeps the *scalar*
-cost model — ``compare_ops`` counts the sequential early-exit scan's ID
-comparisons — so the paper's hash-savings analysis is unchanged.
+One storage, two cost models.  Storage is structure-of-arrays: a contiguous
+``(w, gamma)`` ``uint64`` key matrix plus a per-bucket fill vector, so the
+batch paths scatter whole plans with numpy fancy indexing and the membership
+probes are masked vector compares.  What a bucket scan *costs* is the only
+thing the paper's two scans (Algorithm 3's sequential walk, Algorithm 6's
+SIMD compare) differ in, so it is the only thing the class constant
+:attr:`BurstFilter.lanes` selects:
+
+* ``lanes = None`` (:class:`BurstFilter`) — ``compare_ops`` counts the
+  sequential early-exit scan's ID comparisons, the quantity behind the
+  paper's hash-savings analysis;
+* ``lanes = SIMD_LANES`` (:class:`~repro.core.simd.VectorizedBurstFilter`)
+  — every scan costs :func:`simd_scan_cost` vector compares,
+  ``ceil(gamma / 4)`` for 128-bit registers and 4-byte IDs.
+
+Storage, admission decisions, drain order and the state layout are shared,
+so the two builds agree on everything but ``compare_ops``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -35,6 +47,44 @@ from ..common.errors import ConfigError, MergeError
 from ..common.hashing import HashFamily
 from ..obs.events import BURST_ADMIT, BURST_DRAIN, BURST_OVERFLOW
 from .kernels import burst_window_plan, plan_burst_admission
+
+#: 128-bit register / 32-bit IDs -> four comparisons per instruction.
+SIMD_LANES = 4
+
+
+def scalar_scan_cost(cells_per_bucket: int) -> int:
+    """Worst-case compare count for a sequential bucket scan."""
+    return cells_per_bucket
+
+
+def simd_scan_cost(cells_per_bucket: int, lanes: int = SIMD_LANES) -> int:
+    """Worst-case vector-compare count for an Algorithm 6 scan."""
+    return math.ceil(cells_per_bucket / lanes)
+
+
+def _occupied_prefix_layout(state: dict) -> dict:
+    """``state`` in the layout :meth:`BurstFilter.state_dict` writes.
+
+    Checkpoints written before the SIMD variant shared this class's
+    storage hold a :class:`~repro.core.simd.VectorizedBurstFilter` as the
+    full ``(w, gamma)`` key matrix plus a ``fill`` vector.  This keeps each
+    bucket's occupied prefix and renames ``fill`` to ``fills``; the bounds
+    on each fill are then checked by :meth:`BurstFilter.from_state`, as
+    for any other state.
+    """
+    if "fill" not in state:
+        return state
+    n_buckets = int(state["n_buckets"])
+    cells = int(state["cells_per_bucket"])
+    keys = np.asarray(state["keys"], dtype=np.uint64)
+    fills = np.asarray(state["fill"], dtype=np.int64)
+    if keys.size != n_buckets * cells or fills.shape != (n_buckets,):
+        raise ValueError("burst filter state is inconsistent")
+    filled = np.arange(cells)[None, :] < fills[:, None]
+    converted = {key: value for key, value in state.items() if key != "fill"}
+    converted["keys"] = keys.reshape(n_buckets, cells)[filled]
+    converted["fills"] = fills
+    return converted
 
 
 class BurstFilter:
@@ -48,6 +98,11 @@ class BurstFilter:
 
     __slots__ = ("n_buckets", "cells_per_bucket", "_hash", "_keys", "_fill",
                  "hash_ops", "compare_ops", "absorbed", "overflowed", "trace")
+
+    #: Compare-cost model of a bucket scan: ``None`` charges the sequential
+    #: early-exit scan's ID comparisons, a lane count charges
+    #: :func:`simd_scan_cost` vector compares per scan.
+    lanes: Optional[int] = None
 
     def __init__(self, n_buckets: int, cells_per_bucket: int = 4,
                  seed: int = 42):
@@ -78,14 +133,20 @@ class BurstFilter:
         self.hash_ops += 1
         b = self._hash.index(key, 0, self.n_buckets)
         fill = int(self._fill[b])
+        hit = -1
         if fill:
             hits = np.flatnonzero(self._keys[b, :fill] == np.uint64(key))
             if hits.size:
-                # the sequential scan stops at the hit: slot s costs s + 1
-                self.compare_ops += int(hits[0]) + 1
-                self.absorbed += 1
-                return True
-            self.compare_ops += fill
+                hit = int(hits[0])
+        lanes = self.lanes
+        if lanes is None:
+            # the sequential scan stops at the hit: slot s costs s + 1
+            self.compare_ops += fill if hit < 0 else hit + 1
+        else:
+            self.compare_ops += simd_scan_cost(self.cells_per_bucket, lanes)
+        if hit >= 0:
+            self.absorbed += 1
+            return True
         tr = self.trace
         if fill < self.cells_per_bucket:
             self._keys[b, fill] = key
@@ -107,9 +168,10 @@ class BurstFilter:
         ``keys[~mask]`` downstream in order, which is exactly the scalar
         forwarding sequence.  State and the ``absorbed`` / ``overflowed`` /
         ``compare_ops`` counters match a record-at-a-time replay bit for
-        bit; ``hash_ops`` keeps the scalar cost model (one hash per record)
-        even though the batch coalesces the actual hashing into one
-        vectorized pass over the batch's *distinct* keys.
+        bit under either compare-cost model; ``hash_ops`` keeps the scalar
+        cost model (one hash per record) even though the batch coalesces
+        the actual hashing into one vectorized pass over the batch's
+        *distinct* keys.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         n = int(keys.size)
@@ -129,7 +191,9 @@ class BurstFilter:
             self._keys[plan.buckets[new], plan.slots[new]] = \
                 plan.unique_keys[new]
             np.add.at(self._fill, plan.buckets[new], 1)
-        self.compare_ops += plan.scan_compares
+        lanes = self.lanes
+        self.compare_ops += plan.scan_compares if lanes is None else \
+            n * simd_scan_cost(self.cells_per_bucket, lanes)
         self.absorbed += plan.n_absorbed
         self.overflowed += n - plan.n_absorbed
         tr = self.trace
@@ -159,12 +223,15 @@ class BurstFilter:
         if not n:
             return keys
         self.hash_ops += n
+        lanes = self.lanes
         downstream, n_absorbed, scan_compares = burst_window_plan(
             keys,
             lambda u: self._hash.index_batch(u, 0, self.n_buckets),
             self.cells_per_bucket,
+            with_compares=lanes is None,
         )
-        self.compare_ops += scan_compares
+        self.compare_ops += scan_compares if lanes is None else \
+            n * simd_scan_cost(self.cells_per_bucket, lanes)
         self.absorbed += n_absorbed
         self.overflowed += n - n_absorbed
         self._emit_window_bulks(downstream, n - n_absorbed)
@@ -209,7 +276,9 @@ class BurstFilter:
         self.hash_ops += 1
         b = self._hash.index(key, 0, self.n_buckets)
         fill = int(self._fill[b])
-        self.compare_ops += fill
+        lanes = self.lanes
+        self.compare_ops += fill if lanes is None else \
+            simd_scan_cost(self.cells_per_bucket, lanes)
         return fill > 0 and bool(
             (self._keys[b, :fill] == np.uint64(key)).any()
         )
@@ -289,7 +358,7 @@ class BurstFilter:
     def verify_state(self) -> List[str]:
         """Structural self-check; returns problem descriptions (empty = OK).
 
-        Checked: no bucket holds more than ``cells_per_bucket`` IDs, no ID
+        Checked: every bucket fill lies in ``[0, cells_per_bucket]``, no ID
         is stored twice in one bucket, and every stored ID hashes to the
         bucket it sits in.  Hook point for :mod:`repro.verify`; does not
         touch the instrumentation counters.
@@ -297,10 +366,10 @@ class BurstFilter:
         problems: List[str] = []
         for b in range(self.n_buckets):
             fill = int(self._fill[b])
-            if fill > self.cells_per_bucket:
+            if not 0 <= fill <= self.cells_per_bucket:
                 problems.append(
-                    f"burst bucket {b} holds {fill} IDs "
-                    f"> capacity {self.cells_per_bucket}"
+                    f"burst bucket {b} fill {fill} outside "
+                    f"[0, {self.cells_per_bucket}]"
                 )
                 continue
             stored = [int(key) for key in self._keys[b, :fill]]
@@ -366,7 +435,12 @@ class BurstFilter:
 
     @classmethod
     def from_state(cls, state: dict) -> "BurstFilter":
-        """Rebuild a filter bit-identical to the one that was saved."""
+        """Rebuild a filter bit-identical to the one that was saved.
+
+        Also reads the full-matrix layout older SIMD checkpoints used (see
+        :func:`_occupied_prefix_layout`).
+        """
+        state = _occupied_prefix_layout(state)
         obj = cls.__new__(cls)
         obj.n_buckets = int(state["n_buckets"])
         obj.cells_per_bucket = int(state["cells_per_bucket"])

@@ -29,6 +29,7 @@ from .cold_filter import ColdFilter
 from .config import HSConfig
 from .hot_part import HotPart
 from .kernels import ENGINE_KERNEL, ENGINE_SCALAR, ENGINES, ingest_window
+from .simd import VectorizedBurstFilter
 
 
 class HypersistentSketch:
@@ -505,16 +506,15 @@ class HypersistentSketch:
     def state_dict(self) -> Dict:
         """Exact state as plain values (see :mod:`repro.persist`).
 
-        The stage-1 entry is tagged with the burst variant (``scalar`` for
-        :class:`BurstFilter`, ``simd`` for the vectorized drop-in) so a
-        restore rebuilds the same ingestion path.
+        The stage-1 entry is tagged with the Burst Filter's compare-cost
+        model (``scalar``, or ``simd`` when :attr:`BurstFilter.lanes` is
+        set) so a restore rebuilds the same accounting.
         """
         if self.burst is None:
             burst_kind, burst_state = "none", None
-        elif isinstance(self.burst, BurstFilter):
-            burst_kind, burst_state = "scalar", self.burst.state_dict()
         else:
-            burst_kind, burst_state = "simd", self.burst.state_dict()
+            burst_kind = "scalar" if self.burst.lanes is None else "simd"
+            burst_state = self.burst.state_dict()
         return {
             "config": self.config.state_dict(),
             "burst_kind": burst_kind,
@@ -542,8 +542,6 @@ class HypersistentSketch:
         elif kind == "scalar":
             obj.burst = BurstFilter.from_state(state["burst"])
         elif kind == "simd":
-            from .simd import VectorizedBurstFilter  # local: avoid cycle
-
             obj.burst = VectorizedBurstFilter.from_state(state["burst"])
         else:
             raise ValueError(f"unknown burst filter kind: {kind!r}")

@@ -16,7 +16,6 @@ multi-process deployment needs, and `report` shows the merge.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -143,23 +142,18 @@ class ShardedSketch:
         key = canonical_key(item)
         self._shard_of(key).insert(key)
 
-    def insert_window(self, items, parallel: bool = False,
-                      max_workers: Optional[int] = None) -> None:
+    def insert_window(self, items) -> None:
         """Batched feed of one whole window, routed columnar to all shards.
 
         The window's keys are canonicalized and routed in one vectorized
         hashing pass, then each shard ingests its slice (order preserved)
         through its own ``insert_window`` — so results are bit-for-bit the
-        scalar route-and-insert sequence.  With ``parallel=True`` the
-        shards ingest concurrently on a thread pool, which is safe because
-        shards share no state; the numpy portions of the batch path drop
-        the GIL, so this scales with cores for large windows.
+        scalar route-and-insert sequence.
         """
         keys = canonical_keys(items)
         route = self._router.index_batch(keys, 0, self.n_shards)
-
-        def feed(pair) -> None:
-            shard, shard_keys = pair
+        for i, shard in enumerate(self.shards):
+            shard_keys = keys[route == i]
             if hasattr(shard, "insert_window"):
                 shard.insert_window(shard_keys)
             elif hasattr(shard, "insert_batch"):
@@ -171,18 +165,6 @@ class ShardedSketch:
                 for key in shard_keys:
                     shard.insert(int(key))
                 shard.end_window()
-
-        slices = [
-            (shard, keys[route == i]) for i, shard in enumerate(self.shards)
-        ]
-        if parallel and self.n_shards > 1:
-            with ThreadPoolExecutor(
-                max_workers=max_workers or self.n_shards
-            ) as pool:
-                list(pool.map(feed, slices))
-        else:
-            for pair in slices:
-                feed(pair)
         self.window += 1
 
     def end_window(self) -> None:

@@ -19,6 +19,13 @@ properties must hold or bit-identical resume silently breaks:
 Property 3 is what catches the historical bug class: a field added to
 ``__init__`` during a refactor but forgotten in ``state_dict()``, which
 PR 4 hit with silently incomplete snapshots.
+
+An allowlisted class may also *inherit* its contract: when it subclasses
+another allowlisted class and defines no ``__init__``, ``state_dict()`` or
+``from_state()``, the base's check covers it — provided it declares
+``__slots__ = ()``.  A slot of its own (or no ``__slots__`` at all, which
+opens a ``__dict__``) is state the inherited methods never see, and is
+flagged.
 """
 
 from __future__ import annotations
@@ -94,6 +101,7 @@ class _ClassContract:
     def __init__(self, cls: ast.ClassDef):
         self.cls = cls
         self.slots, self.slots_line = self._slots(cls)
+        self.defines_init = _method(cls, "__init__") is not None
         self.init_attrs = self._init_attrs(cls)
         self.state_dict = _method(cls, "state_dict")
         self.from_state = _method(cls, "from_state")
@@ -102,7 +110,8 @@ class _ClassContract:
         self.consumed = self._consumed_keys(self.from_state)
 
     @staticmethod
-    def _slots(cls: ast.ClassDef) -> Tuple[List[str], int]:
+    def _slots(cls: ast.ClassDef) -> Tuple[Optional[List[str]], int]:
+        """Declared ``__slots__`` names (``None`` when not declared)."""
         for node in cls.body:
             if isinstance(node, ast.Assign):
                 for target in node.targets:
@@ -113,7 +122,7 @@ class _ClassContract:
                         except (ValueError, TypeError):
                             return [], node.lineno
                         return [str(v) for v in values], node.lineno
-        return [], cls.lineno
+        return None, cls.lineno
 
     @staticmethod
     def _init_attrs(cls: ast.ClassDef) -> Dict[str, int]:
@@ -241,13 +250,20 @@ class PersistContractRule(Rule):
                     f"allowlisted class {name} not found in {relpath}",
                 ))
                 continue
-            findings.extend(self._check_class(relpath, name, cls))
+            findings.extend(self._check_class(relpath, name, cls, classes))
         return findings
 
     def _check_class(
-        self, relpath: str, name: str, cls: ast.ClassDef
+        self, relpath: str, name: str, cls: ast.ClassDef,
+        allowlisted: Dict[str, str],
     ) -> Iterable[Finding]:
         contract = _ClassContract(cls)
+        base = _allowlisted_base(cls, allowlisted)
+        if base is not None and not (contract.defines_init
+                                     or contract.state_dict
+                                     or contract.from_state):
+            yield from self._check_inherited(relpath, name, base, contract)
+            return
         if contract.state_dict is None or contract.from_state is None:
             missing = [
                 label for label, fn in (
@@ -276,7 +292,7 @@ class PersistContractRule(Rule):
                 f"restore",
             )
         attrs: Dict[str, int] = dict(contract.init_attrs)
-        for slot in contract.slots:
+        for slot in contract.slots or ():
             attrs.setdefault(slot, contract.slots_line)
         for attr in sorted(attrs):
             if attr.lstrip("_") in contract.emitted:
@@ -289,3 +305,37 @@ class PersistContractRule(Rule):
                 f"restored sketch will not be bit-identical (emit the "
                 f"field, or read it while deriving one)",
             )
+
+    def _check_inherited(
+        self, relpath: str, name: str, base: str,
+        contract: _ClassContract,
+    ) -> Iterable[Finding]:
+        """A subclass running its allowlisted base's contract adds no
+        state: its own ``__slots__`` must be declared and empty."""
+        if contract.slots is None:
+            yield self.finding(
+                relpath, contract.cls,
+                f"{name} inherits {base}'s state_dict()/from_state() but "
+                f"declares no __slots__, so its instances can carry "
+                f"attributes the inherited state never captures (declare "
+                f"__slots__ = ())",
+            )
+            return
+        for slot in contract.slots:
+            yield self.finding(
+                relpath, contract.slots_line,
+                f"{name}.{slot} is never captured by state_dict() — "
+                f"{name} inherits {base}'s state_dict()/from_state(), "
+                f"which do not know the slot (move it to {base}, or "
+                f"override both methods)",
+            )
+
+
+def _allowlisted_base(
+    cls: ast.ClassDef, allowlisted: Dict[str, str]
+) -> Optional[str]:
+    """Name of the first direct base of ``cls`` on the allowlist."""
+    for node in cls.bases:
+        if isinstance(node, ast.Name) and node.id in allowlisted:
+            return node.id
+    return None

@@ -491,7 +491,7 @@ def _check_kernel_equivalence(
 
 @register_invariant(
     "sharded-merge-equivalence", "trace",
-    "Sharded ingestion (scalar, window, parallel) agrees with itself and "
+    "Sharded ingestion (scalar, window) agrees with itself and "
     "its report is the disjoint union of the shards' reports",
 )
 def _check_sharded_equivalence(
@@ -511,15 +511,11 @@ def _check_sharded_equivalence(
 
     scalar = _scalar_feed(build(), trace)
     windowed = build()
-    parallel = build()
     for window_keys in trace.window_arrays():
         windowed.insert_window(window_keys)
-        parallel.insert_window(window_keys, parallel=True)
     keys = sample_keys(trace, _EQUIVALENCE_KEY_CAP)
     out = _diff_keyed("sharded-merge-equivalence", scalar, windowed, keys,
                       "scalar", "window")
-    out += _diff_keyed("sharded-merge-equivalence", scalar, parallel, keys,
-                       "scalar", "parallel")
     merged = scalar.report(1)
     shard_reports = [shard.report(1) for shard in scalar.shards]
     if sum(len(r) for r in shard_reports) != len(merged):

@@ -1,4 +1,5 @@
-"""Allowlisted class violating all three SC-PERSIST properties."""
+"""Allowlisted classes violating all three SC-PERSIST properties, plus a
+subclass whose own slot the inherited contract never captures."""
 
 
 class Widget:
@@ -17,3 +18,7 @@ class Widget:
     def from_state(cls, state):
         # consumes "seed", which state_dict() never emits
         return cls(state["size"], state["seed"])
+
+
+class TaggedWidget(Widget):
+    __slots__ = ("tag",)        # inherited state_dict() never captures it

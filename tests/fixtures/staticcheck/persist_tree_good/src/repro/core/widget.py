@@ -1,7 +1,9 @@
-"""Allowlisted class satisfying the SC-PERSIST contract.
+"""Allowlisted classes satisfying the SC-PERSIST contract.
 
 ``_scale`` is derived: state_dict() reads it while building the state
 tree, which counts as coverage (the flattened-representation case).
+``TinyWidget`` inherits Widget's contract: it defines no ``__init__``,
+``state_dict`` or ``from_state`` and declares empty ``__slots__``.
 """
 
 
@@ -23,3 +25,8 @@ class Widget:
         obj = cls(state["size"], state["salt"])
         obj._scale = state.get("scale_hint", obj.size) * 2
         return obj
+
+
+class TinyWidget(Widget):
+    __slots__ = ()
+    limit = 8

@@ -5,8 +5,8 @@ _REGISTRY = {}
 
 def _registry():
     if not _REGISTRY:
-        from ..core.widget import Widget
+        from ..core.widget import TinyWidget, Widget
 
-        for klass in (Widget,):
+        for klass in (Widget, TinyWidget):
             _REGISTRY[klass.__name__] = klass
     return _REGISTRY

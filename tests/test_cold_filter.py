@@ -1,4 +1,5 @@
-"""Unit tests for the Cold Filter (stage 2)."""
+"""Unit tests for the Cold Filter (stage 2): layers, staging, accounting,
+flags, saturation dynamics and CU semantics."""
 
 import pytest
 
@@ -160,3 +161,97 @@ class TestFlagSemantics:
         cf.insert(2)
         value2, _ = cf.query(2)
         assert value2 == 2  # flag reset allowed the increment
+
+
+def make(l1=32, l2=16, d1=2, d2=2, delta1=15, delta2=100, seed=7):
+    return ColdFilter(l1_width=l1, l2_width=l2, delta1=delta1,
+                      delta2=delta2, d1=d1, d2=d2, seed=seed)
+
+
+class TestCuUpdateSemantics:
+    def test_only_minimum_cells_advance(self):
+        """A colliding item cannot push a cell past its own minimum path."""
+        cf = make(l1=4, d1=2, delta1=15)
+        # drive item A for 5 windows
+        for _ in range(5):
+            cf.insert(1)
+            cf.end_window()
+        a_before, _ = cf.query(1)
+        # a new item colliding on ONE of A's cells raises only its own min
+        for _ in range(2):
+            cf.insert(2)
+            cf.end_window()
+        a_after, _ = cf.query(1)
+        # A's estimate can only have grown by at most the collision amount
+        assert a_before <= a_after <= a_before + 2
+
+    def test_saturation_escalates_everything(self):
+        cf = make(l1=2, l2=2, d1=1, d2=1, delta1=3, delta2=4)
+        # saturate both layers with a steady item
+        for _ in range(10):
+            cf.insert(1)
+            cf.end_window()
+        # every cell is at threshold: any new item overflows immediately
+        assert cf.insert(999) is False
+        value, needs_hot = cf.query(999)
+        assert needs_hot is True
+        assert value == 3 + 4
+
+    def test_saturated_fraction_monotone(self):
+        cf = make(l1=8, d1=1, delta1=3)
+        fractions = []
+        for window in range(12):
+            for item in range(20):
+                cf.insert(item)
+            cf.end_window()
+            fractions.append(cf.l1.saturated_fraction())
+        assert fractions == sorted(fractions)
+        assert fractions[-1] == 1.0
+
+
+class TestStagedQueryBoundaries:
+    def test_query_exactly_at_delta1(self):
+        cf = make(d1=1, l1=1, delta1=3, delta2=100)
+        for _ in range(3):
+            cf.insert(1)
+            cf.end_window()
+        value, needs_hot = cf.query(1)
+        # v1 == delta1 -> escalate to L2 (which is still 0)
+        assert value == 3 + 0
+        assert needs_hot is False
+
+    def test_query_exactly_at_delta2(self):
+        cf = make(d1=1, l1=1, d2=1, l2=1, delta1=2, delta2=3)
+        for _ in range(5):
+            cf.insert(1)
+            cf.end_window()
+        value, needs_hot = cf.query(1)
+        assert value == 2 + 3
+        assert needs_hot is True
+
+    def test_unknown_item_stays_cold(self):
+        cf = make()
+        value, needs_hot = cf.query(12345)
+        assert value == 0 and needs_hot is False
+
+
+class TestMultiRowIndependence:
+    def test_rows_use_distinct_hashes(self):
+        cf = make(l1=64, d1=3)
+        # insert many items; if rows shared hashes, row minima would match
+        for item in range(200):
+            cf.insert(item)
+        cf.end_window()
+        layer = cf.l1
+        idx_sets = [
+            tuple(layer._hash.index(7, i, layer.width)
+                  for i in range(layer.rows))
+        ]
+        assert len(set(idx_sets[0])) > 1  # not all the same position
+
+    def test_deeper_l1_changes_hash_budget(self):
+        shallow = make(d1=1)
+        deep = make(d1=4)
+        shallow.insert(1)
+        deep.insert(1)
+        assert deep.hash_ops == 4 * shallow.hash_ops

@@ -1,4 +1,5 @@
-"""Unit tests for the experiment harness."""
+"""Unit tests for the experiment harness: factories, run_stream
+accounting, seed threading and the working-set hint."""
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.experiments.harness import (
     stage_distribution,
     time_queries,
 )
+from repro.streams import zipf_trace
 from repro.streams.oracle import exact_persistence
 
 
@@ -96,3 +98,67 @@ class TestQueriesAndHelpers:
         result = run_algorithm("HS", small_zipf, 8192)
         dist = stage_distribution(result)
         assert sum(dist.values()) == pytest.approx(1.0)
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return zipf_trace(6000, 40, skew=1.1, n_items=1500, seed=61,
+                      within_window_repeats=3.0)
+
+
+class TestSeedThreading:
+    def test_seed_changes_hash_layout(self, trace):
+        a = run_algorithm("HS", trace, 4096, seed=1)
+        b = run_algorithm("HS", trace, 4096, seed=2)
+        keys = set(trace.items)
+        diffs = sum(
+            1 for k in keys if a.sketch.query(k) != b.sketch.query(k)
+        )
+        assert diffs > 0  # different seeds, different collision patterns
+
+    def test_same_seed_identical_results(self, trace):
+        a = run_algorithm("OO", trace, 2048, seed=9)
+        b = run_algorithm("OO", trace, 2048, seed=9)
+        keys = sorted(set(trace.items))[:200]
+        assert all(a.sketch.query(k) == b.sketch.query(k) for k in keys)
+
+
+class TestWorkingSetHint:
+    def test_hint_sizes_burst_filter(self):
+        small = make_estimator("HS", 64 * 1024, n_windows=100,
+                               window_distinct_hint=10)
+        large = make_estimator("HS", 64 * 1024, n_windows=100,
+                               window_distinct_hint=2000)
+        assert large.config.burst_bytes > small.config.burst_bytes
+
+    def test_run_algorithm_applies_trace_hint(self, trace):
+        result = run_algorithm("HS", trace, 64 * 1024)
+        sketch = result.sketch
+        assert isinstance(sketch, HypersistentSketch)
+        expected = int(trace.mean_window_distinct() * 1.5 * 4)
+        assert sketch.config.burst_bytes == max(16, min(
+            expected, 64 * 1024 // 2
+        ))
+
+    def test_hint_keeps_burst_capture_high(self, trace):
+        result = run_algorithm("HS", trace, 64 * 1024)
+        stats = result.sketch.stats()
+        total = stats["burst_absorbed"] + stats["burst_overflowed"]
+        assert stats["burst_absorbed"] / total > 0.9
+
+
+class TestRunStreamAccounting:
+    def test_insert_record_fields(self, trace):
+        result = run_stream(make_estimator("CM", 4096), trace)
+        record = result.insert
+        assert record.operations == trace.n_records
+        assert record.hash_ops > record.operations  # CM hashes per insert
+        assert record.mops > 0
+
+    def test_hash_ops_delta_not_cumulative(self, trace):
+        sketch = make_estimator("OO", 4096)
+        first = run_stream(sketch, trace)
+        second = run_stream(sketch, trace)
+        # per-run hash ops measured as a delta, not the lifetime total
+        assert abs(second.insert.hash_ops - first.insert.hash_ops) \
+            <= first.insert.hash_ops * 0.01

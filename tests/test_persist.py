@@ -7,7 +7,10 @@ and bit flips must *never* load into a silently wrong estimator.
 """
 
 import dataclasses
+import hashlib
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ from repro.core.burst_filter import BurstFilter
 from repro.core.cold_filter import ColdFilter
 from repro.core.config import REPLACE_RANDOM
 from repro.core.hot_part import HotPart
+from repro.core.simd import VectorizedBurstFilter
+from repro.experiments.harness import make_estimator
 from repro.persist import (
     FORMAT_VERSION,
     MAGIC,
@@ -203,6 +208,33 @@ class TestFaultInjection:
         write_frame(path, [1, 2, 3])
         with pytest.raises(SnapshotError):
             load_state(path)
+
+    @staticmethod
+    def _burst_state(**layout):
+        counters = BurstFilter(4, 4, seed=1).state_dict()
+        for key in ("keys", "fills"):
+            del counters[key]
+        return {"class": "VectorizedBurstFilter",
+                "state": {**counters, **layout}}
+
+    def test_full_matrix_burst_fill_out_of_bounds_rejected(self):
+        # the layout SIMD checkpoints were once written in: the whole
+        # (w, gamma) key matrix plus ``fill``; these fills used to restore
+        # with len() == 8 and keep accepting inserts
+        tagged = self._burst_state(
+            keys=np.zeros((4, 4), dtype=np.uint64),
+            fill=np.array([9, -2, 0, 1], dtype=np.int32),
+        )
+        with pytest.raises(SnapshotError):
+            restore_tagged(decode_state(encode_state(tagged)))
+
+    def test_occupied_prefix_burst_fill_out_of_bounds_rejected(self):
+        tagged = self._burst_state(
+            keys=np.arange(8, dtype=np.uint64),
+            fills=np.array([9, -2, 0, 1], dtype=np.int64),
+        )
+        with pytest.raises(SnapshotError):
+            restore_tagged(decode_state(encode_state(tagged)))
 
 
 # ----------------------------------------------------------------------
@@ -472,6 +504,139 @@ class TestStreamDriverRecovery:
         with pytest.raises(StreamError):
             StreamDriver(HypersistentSketch(small_config()),
                          window_duration=1.0, checkpoint_every=0)
+
+
+# ----------------------------------------------------------------------
+# checkpoints written by an older build still restore and continue
+# ----------------------------------------------------------------------
+LEGACY_CHECKPOINTS = Path(__file__).parent / "fixtures" / "legacy_checkpoints"
+
+
+@pytest.fixture(scope="module")
+def legacy_expected():
+    """What the writing build reached after the rest of each stream.
+
+    Every file in ``tests/fixtures/legacy_checkpoints`` was written at
+    commit ``b51dd21``, where :class:`VectorizedBurstFilter` saved its own
+    layout (``keys`` as the full ``(w, gamma)`` matrix plus ``fill``)
+    instead of the occupied prefix plus ``fills``.  ``expected.json``
+    holds that build's estimates, report and cost counters after feeding
+    each checkpointed object the rest of its stream, as
+    :class:`TestLegacyCheckpoints` does.
+    """
+    return json.loads((LEGACY_CHECKPOINTS / "expected.json").read_text())
+
+
+def _snapshot(obj):
+    return encode_state(tagged_state(obj))
+
+
+class TestLegacyCheckpoints:
+    """Each fixture restores, re-encodes equal to the same object built
+    here, and continues bit-identical to a run that was never saved."""
+
+    #: ``make_hypersistent_simd`` sketch: windows 0-19 through
+    #: ``insert_window``, then the first half of window 20 through
+    #: ``insert``, so the burst is open mid-window.
+    CONFIG = HSConfig(memory_bytes=1024, burst_bytes=192, delta1=3,
+                      delta2=5, burst_cells_per_bucket=6, seed=5)
+    STREAM = dict(n_records=4000, n_windows=40, seed=9, n_items=300)
+    #: bare ``VectorizedBurstFilter(8, 6, seed=11)``: these inserts, then
+    #: ``contains(42)`` and ``contains(12345)``
+    BURST_KEYS = [3, 17, 3, 99, 42, 17, 5, 1000, 77, 31, 8, 64, 3]
+    #: ``repro generate-trace zipf t.npz`` with these flags, then
+    #: ``repro checkpoint t.npz --algorithm HS-KERNEL --memory-kb 1
+    #: --every 5 --stop-after 13``
+    RUN_TRACE = ["--records", "3000", "--windows", "24", "--seed", "4"]
+
+    def _sketch_to_checkpoint(self, arrays):
+        sketch = make_hypersistent_simd(self.CONFIG)
+        for wid in range(20):
+            sketch.insert_window(arrays[wid])
+        for key in arrays[20][:arrays[20].size // 2].tolist():
+            sketch.insert(key)
+        return sketch
+
+    def test_simd_sketch_open_mid_window(self, legacy_expected):
+        trace = zipf_trace(**self.STREAM)
+        arrays = trace.window_arrays()
+        restored = load_state(LEGACY_CHECKPOINTS
+                              / "simd_sketch_midwindow.ckpt")
+        never_saved = self._sketch_to_checkpoint(arrays)
+        assert len(restored.burst) > 0
+        assert _snapshot(restored) == _snapshot(never_saved)
+        for sketch in (restored, never_saved):
+            for key in arrays[20][arrays[20].size // 2:].tolist():
+                sketch.insert(key)
+            sketch.end_window()
+            for wid in range(21, 40):
+                sketch.insert_window(arrays[wid])
+        assert _snapshot(restored) == _snapshot(never_saved)
+        assert restored.stats() == never_saved.stats()
+        keys = sorted(set(trace.items))
+        expected = legacy_expected["simd_sketch"]
+        assert [restored.query(k) for k in keys] == expected["estimates"]
+        assert sorted(map(list, restored.report(1).items())) \
+            == expected["report"]
+        assert restored.hash_ops == expected["hash_ops"]
+        assert restored.burst.hash_ops == expected["burst_hash_ops"]
+        assert restored.burst.compare_ops == expected["burst_compare_ops"]
+        for part in ("cold", "hot"):
+            digest = hashlib.sha256(
+                _snapshot(getattr(restored, part))).hexdigest()
+            assert digest == expected[f"{part}_state_sha256"]
+
+    def test_bare_simd_burst_filter(self, legacy_expected):
+        restored = load_state(LEGACY_CHECKPOINTS / "simd_burst_filter.ckpt")
+        never_saved = VectorizedBurstFilter(8, 6, seed=11)
+        for key in self.BURST_KEYS:
+            never_saved.insert(key)
+        never_saved.contains(42)
+        never_saved.contains(12345)
+        assert type(restored) is VectorizedBurstFilter
+        assert _snapshot(restored) == _snapshot(never_saved)
+        expected = legacy_expected["simd_burst"]
+        for burst in (restored, never_saved):
+            assert [burst.insert(k) for k in range(200, 260)] \
+                == expected["absorbed"]
+            burst.contains(205)
+            assert [int(k) for k in burst.drain()] == expected["drain"]
+            assert (burst.hash_ops, burst.compare_ops, burst.absorbed,
+                    burst.overflowed) == (
+                expected["hash_ops"], expected["compare_ops"],
+                expected["absorbed_count"], expected["overflowed"])
+
+    def test_hs_kernel_run_checkpoint(self, legacy_expected, tmp_path,
+                                      capsys):
+        from repro.cli import main
+        from repro.streams.io import load_trace_npz
+
+        ckpt = LEGACY_CHECKPOINTS / "hs_kernel_run.ckpt"
+        path = tmp_path / "t.npz"
+        assert main(["generate-trace", "zipf", str(path)]
+                    + self.RUN_TRACE) == 0
+        assert main(["resume", str(ckpt), str(path), "--check-full"]) == 0
+        assert "bit-equal to an uninterrupted run" in capsys.readouterr().out
+        trace = load_trace_npz(path)
+        restored, windows_done, payload = load_run_checkpoint(ckpt)
+        meta = payload["meta"]
+        never_saved = make_estimator(
+            "HS-KERNEL", meta["memory_bytes"], n_windows=trace.n_windows,
+            seed=meta["seed"],
+            window_distinct_hint=meta["window_distinct_hint"],
+        )
+        feed(never_saved, trace, stop=windows_done)
+        assert _snapshot(restored) == _snapshot(never_saved)
+        resumed = resume(ckpt, trace)
+        feed(never_saved, trace, start=windows_done)
+        assert _snapshot(resumed) == _snapshot(never_saved)
+        expected = legacy_expected["hs_kernel_run"]
+        keys = sorted(set(trace.items))
+        assert [resumed.query(k) for k in keys] == expected["estimates"]
+        assert sorted(map(list, resumed.report(1).items())) \
+            == expected["report"]
+        assert resumed.hash_ops == expected["hash_ops"]
+        assert resumed.burst.compare_ops == expected["burst_compare_ops"]
 
 
 class TestRegisterClassContract:

@@ -10,6 +10,12 @@ Invariants checked:
 * Oracle: persistence <= min(frequency, windows); rewindowing to 1 window
   gives persistence 1 for every item.
 * Bloom filter: no false negatives, ever.
+* Sliding window: estimates bounded by coverage.
+* Finders: On-Off v2 and Hypersistent reports agree with their queries
+  and Hot Part contents; CM persistence never underestimates with an
+  oversized Bloom filter.
+* FlagArray: the epoch trick behaves like a plain bit set.
+* Snapshots: a round-trip preserves estimates.
 """
 
 from collections import Counter
@@ -18,10 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.bloom import BloomFilter
-from repro.baselines.on_off import OnOffSketchV1
-from repro.common.bitmem import KB
+from repro.baselines.cm_sketch import CMPersistenceSketch
+from repro.baselines.on_off import OnOffSketchV1, OnOffSketchV2
+from repro.common.bitmem import KB, FlagArray
 from repro.core import HSConfig, HypersistentSketch
 from repro.core.burst_filter import BurstFilter
+from repro.core.sliding import SlidingHypersistentSketch
 from repro.streams.model import Trace
 from repro.streams.oracle import exact_frequency, exact_persistence
 
@@ -157,3 +165,101 @@ def test_oracle_single_window_collapse(steps):
     trace = Trace(items, [0] * len(items), 1)
     persistence = exact_persistence(trace)
     assert all(p == 1 for p in persistence.values())
+
+
+steps_strategy = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=20), st.booleans()),
+    min_size=1,
+    max_size=150,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(steps_strategy, st.integers(min_value=2, max_value=12))
+def test_sliding_estimate_bounded_by_coverage(steps, horizon):
+    sw = SlidingHypersistentSketch(memory_bytes=8 * KB, horizon=horizon)
+    play(sw, steps)
+    for item in {item for item, _ in steps}:
+        estimate = sw.query(item)
+        assert 0 <= estimate <= max(sw.coverage, horizon)
+
+
+@settings(max_examples=50, deadline=None)
+@given(steps_strategy)
+def test_on_off_v2_report_consistent_with_query(steps):
+    oo = OnOffSketchV2(2 * KB, seed=3)
+    play(oo, steps)
+    reported = oo.report(1)
+    for key, value in reported.items():
+        assert oo.query(key) == value
+        assert value >= 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(steps_strategy)
+def test_hypersistent_report_subset_of_hot_items(steps):
+    sketch = HypersistentSketch(
+        HSConfig(memory_bytes=8 * KB, delta1=2, delta2=3, seed=5)
+    )
+    play(sketch, steps)
+    base = sketch.cold.delta1 + sketch.cold.delta2
+    reported = sketch.report(base)
+    hot_keys = set(sketch.hot.items())
+    assert set(reported) <= hot_keys
+    assert all(v >= base for v in reported.values())
+
+
+@settings(max_examples=50, deadline=None)
+@given(steps_strategy)
+def test_cm_persistence_never_underestimates_with_big_bloom(steps):
+    """With an oversized Bloom filter (no false positives realistically),
+    CM persistence keeps Count-Min's one-sided error."""
+    sketch = CMPersistenceSketch(16 * KB, seed=7)
+    windows = 0
+    seen = {}
+    truth = Counter()
+    for item, advance in steps:
+        sketch.insert(item)
+        if seen.get(item) != windows:
+            seen[item] = windows
+            truth[item] += 1
+        if advance:
+            sketch.end_window()
+            windows += 1
+    sketch.end_window()
+    for item, p in truth.items():
+        assert sketch.query(item) >= p
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=31),
+                  st.sampled_from(["off", "reset"])),
+        max_size=100,
+    )
+)
+def test_flag_array_matches_reference_model(ops):
+    """FlagArray's epoch trick must behave exactly like a plain bit set."""
+    flags = FlagArray(32)
+    reference = [True] * 32
+    for idx, op in ops:
+        if op == "off":
+            flags.turn_off(idx)
+            reference[idx] = False
+        else:
+            flags.reset()
+            reference = [True] * 32
+    assert [flags.is_on(i) for i in range(32)] == reference
+
+
+@settings(max_examples=30, deadline=None)
+@given(steps_strategy)
+def test_snapshot_roundtrip_preserves_estimates(steps):
+    import pickle
+
+    sketch = HypersistentSketch(HSConfig.for_estimation(8 * KB, 32, seed=9))
+    play(sketch, steps)
+    clone = pickle.loads(pickle.dumps(sketch))
+    for item in {item for item, _ in steps}:
+        assert clone.query(item) == sketch.query(item)

@@ -101,7 +101,7 @@ class TestAccuracyAndBalance:
 
 
 class TestShardedBatchFeed:
-    def _feed_both(self, parallel):
+    def _feed_both(self):
         trace = zipf_trace(6000, 12, skew=1.2, n_items=600, seed=21)
         scalar = ShardedSketch(hs_factory(n_windows=12), n_shards=4)
         batched = ShardedSketch(hs_factory(n_windows=12), n_shards=4)
@@ -110,12 +110,11 @@ class TestShardedBatchFeed:
                 scalar.insert(item)
             scalar.end_window()
         for keys in trace.window_arrays():
-            batched.insert_window(keys, parallel=parallel)
+            batched.insert_window(keys)
         return trace, scalar, batched
 
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_batched_feed_matches_scalar(self, parallel):
-        trace, scalar, batched = self._feed_both(parallel)
+    def test_batched_feed_matches_scalar(self):
+        trace, scalar, batched = self._feed_both()
         assert batched.window == scalar.window == trace.n_windows
         for key in sorted(set(trace.items)):
             assert scalar.query(key) == batched.query(key)

@@ -1,5 +1,6 @@
 """Unit tests for the SIMD-emulating Burst Filter path."""
 
+import numpy as np
 import pytest
 
 from repro.common.bitmem import KB
@@ -75,6 +76,20 @@ class TestVectorizedFilterSpecifics:
             simd.insert(key)
         # scalar compares each occupied cell; simd compares in 4-lane blocks
         assert simd.compare_ops < scalar.compare_ops
+
+    def test_every_scan_costs_lane_blocks(self):
+        # one ceil(gamma / 4) charge per scanned record on every path,
+        # whatever the bucket holds
+        simd = VectorizedBurstFilter(4, cells_per_bucket=6, seed=1)
+        per_scan = simd_scan_cost(6)
+        simd.insert(1)
+        simd.contains(2)
+        simd.insert_batch(np.arange(10, 17, dtype=np.uint64))
+        assert simd.compare_ops == 9 * per_scan
+        simd.drain_array()
+        simd.window_kernel(np.arange(30, 35, dtype=np.uint64))
+        assert simd.compare_ops == 14 * per_scan
+        assert isinstance(simd, BurstFilter)
 
     def test_clear(self):
         simd = VectorizedBurstFilter(4, 4, seed=2)

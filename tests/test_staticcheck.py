@@ -109,15 +109,28 @@ class TestPersistContract:
         findings = run_lint(FIXTURES / "persist_tree_bad",
                             select=["SC-PERSIST"])
         messages = "\n".join(f.message for f in findings)
-        assert len(findings) == 4
+        assert len(findings) == 5
         assert "consumes key 'seed'" in messages
         assert "emits key 'extra'" in messages
         assert "Widget.salt is never captured" in messages
         assert "Widget._scale is never captured" in messages
+        # a subclass inheriting Widget's contract may add no state
+        assert "TaggedWidget.tag is never captured" in messages
 
     def test_good_tree_clean(self):
         assert run_lint(FIXTURES / "persist_tree_good",
                         select=["SC-PERSIST"]) == []
+
+    def test_inheriting_subclass_without_slots_flagged(self, tmp_path):
+        # no __slots__ opens a __dict__ the inherited state never sees
+        shutil.copytree(FIXTURES / "persist_tree_good", tmp_path / "tree")
+        widget = tmp_path / "tree" / "src" / "repro" / "core" / "widget.py"
+        widget.write_text(widget.read_text().replace(
+            "    __slots__ = ()\n", ""))
+        findings = run_lint(tmp_path / "tree", select=["SC-PERSIST"])
+        assert len(findings) == 1
+        assert "TinyWidget inherits Widget" in findings[0].message
+        assert "declares no __slots__" in findings[0].message
 
 
 class TestSuppression:
@@ -350,7 +363,7 @@ class TestLintCLI:
                         "--format", "json"])
         assert proc.returncode == 1
         findings = parse_report(proc.stdout)
-        assert len(findings) == 4
+        assert len(findings) == 5
 
     def test_unknown_rule_id_exits_two(self):
         proc = run_cli(["--select", "SC-BOGUS"])

@@ -1,4 +1,5 @@
-"""Tests for the sweep engines (small configurations)."""
+"""Tests for the sweep engines (small configurations), including the
+paper's 'error flat in window count' claim."""
 
 import pytest
 
@@ -116,3 +117,37 @@ class TestThroughputSweeps:
             small_zipf, [4], algorithms=("OO",), queries=[1, 2, 3]
         )
         assert figures["mqps"].series["OO"][0] > 0
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return zipf_trace(20_000, 100, skew=1.2, n_items=3000, seed=43,
+                      within_window_repeats=3.0)
+
+
+class TestWindowSweepShape:
+    def test_rewindowing_preserves_records(self, trace):
+        for w in (20, 50, 200):
+            re = trace.rewindowed(w)
+            assert re.n_records == trace.n_records
+            assert re.n_distinct == trace.n_distinct
+
+    def test_error_relatively_flat_for_on_off(self, trace):
+        """Figure 11's qualitative claim at reduced scale."""
+        figures = estimation_window_sweep(
+            trace, [25, 50, 100], memory_kb=8, algorithms=("OO",)
+        )
+        aae = figures["aae"].series["OO"]
+        # no order-of-magnitude blow-up across a 4x window-count range
+        positive = [v for v in aae if v > 0]
+        if len(positive) >= 2:
+            assert max(positive) / min(positive) < 10
+
+    def test_hs_tracks_oo_or_better_across_windows(self, trace):
+        figures = estimation_window_sweep(
+            trace, [25, 100], memory_kb=4, algorithms=("HS", "OO")
+        )
+        for i in range(2):
+            hs = figures["are"].series["HS"][i]
+            oo = figures["are"].series["OO"][i]
+            assert hs <= oo * 1.2 + 0.5

@@ -1,4 +1,7 @@
-"""Unit tests for WavingSketch and its persistence adaptation."""
+"""Unit tests for WavingSketch and its persistence adaptation, including
+the signed counter's unbiasedness and error-free flags."""
+
+import statistics
 
 import pytest
 
@@ -72,3 +75,47 @@ class TestWavingPersistence:
     def test_hash_ops_positive(self, tiny_trace):
         sketch = self._run(tiny_trace)
         assert sketch.hash_ops > 0
+
+
+class TestWavingCounterMechanics:
+    def test_error_free_flag_survives_residency(self):
+        ws = WavingSketch(2048, seed=1)
+        for _ in range(10):
+            ws.add(5)
+        cells = [c for bucket in ws._cells for c in bucket if c.key == 5]
+        assert cells and cells[0].error_free is True
+
+    def test_swapped_in_item_flagged_error_prone(self):
+        ws = WavingSketch(13, cells_per_bucket=1, seed=2)
+        assert ws.n_buckets == 1  # force every item into one bucket
+        ws.add(10)  # resident with freq 1
+        for _ in range(80):
+            ws.add(7)  # waving estimate overtakes -> swap in
+        cells = [c for bucket in ws._cells for c in bucket if c.key == 7]
+        assert cells
+        assert cells[0].error_free is False
+
+    def test_waving_estimate_roughly_unbiased_over_seeds(self):
+        """The signed counter's estimate should center near the true count."""
+        true_count = 30
+        estimates = []
+        for seed in range(24):
+            ws = WavingSketch(64, cells_per_bucket=1, seed=seed)
+            # occupy the heavy cell with a strong resident
+            for _ in range(200):
+                ws.add(999)
+            # our probe item lands in the waving counter
+            for _ in range(true_count):
+                ws.add(123)
+            # noise items push the counter both ways
+            for k in range(60):
+                ws.add(1000 + k)
+            estimates.append(ws.estimate(123))
+        center = statistics.median(estimates)
+        assert abs(center - true_count) <= true_count  # centered regime
+
+    def test_memory_accounting(self):
+        ws = WavingSketch(4096, cells_per_bucket=4, seed=3)
+        assert ws.modeled_bits <= 4096 * 8
+        # bucket = 32-bit waving counter + 4 cells x (32+32+1)
+        assert ws.modeled_bits == ws.n_buckets * (32 + 4 * 65)
