@@ -12,7 +12,11 @@ on the ``kernel`` batch engine, four ways:
   but **disabled** (the flight-recorder default: every emission site is
   behind an enabled-check, so the hot path must only pay that check);
 * ``profiled``   — a :class:`~repro.obs.profiler.WindowProfiler`
-  attached (stage timing proxies live; informational, not gated).
+  attached (it only reads the sketch's stage clock at window
+  boundaries, so ingest is unchanged; informational, not gated).
+
+The stage clock inside ``ingest_window`` runs in every variant,
+``bare`` included, so this gate does not see its cost.
 
 Fails (exit 1) when the ``bound`` or ``traced_off``
 median regresses more than ``--max-overhead`` (default 5%, env

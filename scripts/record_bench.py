@@ -26,7 +26,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import HSConfig, HypersistentSketch, make_hypersistent_simd
-from repro.core.kernels import ingest_window
 from repro.experiments.figures.common import bench_scale
 from repro.streams.traces import caida_like
 
@@ -107,20 +106,15 @@ def run(out_path: str, quick: bool = False) -> dict:
         raise SystemExit("hash-op cost models diverged between scalar and "
                          "kernel")
 
-    # Per-stage breakdown: one extra kernel pass accumulating wall-clock
-    # seconds per pipeline stage (window_arrays are already canonical, so
-    # ingest_window can be driven directly).
-    stage_sketch = make_hypersistent_simd(config)
-    timings = {}
-    for keys in arrays:
-        ingest_window(stage_sketch, keys, timings)
-    stage_total = sum(timings.values()) or 1.0
+    # Per-stage breakdown: the stage clock the last kernel round's sketch
+    # kept while it was timed.
+    stage_total = sum(kernel.stage_seconds.values()) or 1.0
     stages = {
         stage: {
             "seconds": round(seconds, 4),
             "share": round(seconds / stage_total, 4),
         }
-        for stage, seconds in timings.items()
+        for stage, seconds in kernel.stage_seconds.items()
     }
 
     result = {

@@ -8,7 +8,9 @@ Commands:
 * ``generate-trace`` — write a synthetic workload to CSV/NPZ.
 * ``estimate`` — stream a saved trace through an algorithm and report
   accuracy against the exact oracle (``--profile`` adds a stage-latency
-  breakdown, ``--telemetry``/``--prom`` export run telemetry).
+  breakdown, clocked on the kernel engine's window path only — use
+  ``HS-KERNEL`` or ``--engine kernel``; ``--telemetry``/``--prom``
+  export run telemetry).
 * ``find`` — report persistent items from a saved trace.
 * ``obs`` — tail a run's JSON-lines telemetry as a live ASCII panel
   (with a sketch-health footer when health gauges are present).
@@ -541,6 +543,7 @@ def _cmd_checkpoint(args) -> int:
                   f"cannot apply --engine {args.engine}", file=sys.stderr)
             return 2
         sketch.engine = args.engine
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     policy = CheckpointPolicy(args.out, every=args.every, meta=meta)
     window_arrays = trace.window_arrays()
     batched = hasattr(sketch, "insert_window")

@@ -4,7 +4,6 @@ from .bitmem import (
     KB,
     FlagArray,
     MemoryReport,
-    SaturatingCounterArray,
     cells_for_budget,
     counter_bits_for,
     split_budget,
@@ -46,7 +45,6 @@ __all__ = [
     "PersistenceEstimator",
     "PersistentItemFinder",
     "ReproError",
-    "SaturatingCounterArray",
     "SnapshotError",
     "StreamError",
     "canonical_key",

@@ -77,77 +77,6 @@ class MemoryReport:
         return f"MemoryReport({rows}, total={self.total_bytes / KB:.2f}KB)"
 
 
-class SaturatingCounterArray:
-    """A flat array of saturating counters of a fixed bit width.
-
-    Backed by a contiguous ``numpy.int64`` array so batch ingestion can
-    gather/scatter whole index vectors in C; the *modeled* memory is still
-    ``len(self) * bits`` which is what the sizing math uses.  Counters never
-    exceed ``2**bits - 1`` (matching hardware counters that would otherwise
-    overflow).
-    """
-
-    __slots__ = ("bits", "cap", "_values")
-
-    def __init__(self, size: int, bits: int):
-        if size < 1:
-            raise ValueError("size must be >= 1")
-        if bits < 1:
-            raise ValueError("bits must be >= 1")
-        self.bits = bits
-        self.cap = (1 << bits) - 1
-        self._values = np.zeros(size, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __getitem__(self, idx: int) -> int:
-        return int(self._values[idx])
-
-    def increment(self, idx: int, by: int = 1) -> int:
-        """Saturating add; returns the new value."""
-        value = min(self.cap, int(self._values[idx]) + by)
-        self._values[idx] = value
-        return value
-
-    def set(self, idx: int, value: int) -> None:
-        self._values[idx] = min(self.cap, max(0, value))
-
-    def clear(self) -> None:
-        """Reset all state (keeps sizing)."""
-        self._values.fill(0)
-
-    def gather(self, idx: np.ndarray) -> np.ndarray:
-        """Counter values at an index vector (one vectorized read)."""
-        return self._values[idx]
-
-    def increment_at(self, idx: np.ndarray, by: int = 1) -> None:
-        """Saturating add at a vector of *distinct* indexes.
-
-        Indexes must be unique within one call (the Cold Filter's batch
-        path guarantees this: a cell is incremented at most once per
-        window); duplicate indexes would apply only one increment, which is
-        the numpy scatter semantics.
-        """
-        self._values[idx] = np.minimum(self._values[idx] + by, self.cap)
-
-    @property
-    def modeled_bits(self) -> int:
-        """Modeled memory footprint in bits."""
-        return len(self._values) * self.bits
-
-    def state_dict(self) -> Dict[str, Any]:
-        """Exact state as plain values (see :mod:`repro.persist`)."""
-        return {"bits": self.bits, "values": self._values.copy()}
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "SaturatingCounterArray":
-        """Rebuild an array bit-identical to the one that was saved."""
-        obj = cls(size=len(state["values"]), bits=int(state["bits"]))
-        obj._values[:] = np.asarray(state["values"], dtype=np.int64)
-        return obj
-
-
 class FlagArray:
     """A dense array of 1-bit on/off flags with O(1) bulk reset.
 

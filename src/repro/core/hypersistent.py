@@ -23,7 +23,7 @@ import numpy as np
 from ..common.errors import ConfigError, MergeError
 from ..common.hashing import ItemKey, canonical_key, canonical_keys
 from ..obs.catalog import bind_sketch, legacy_sketch_stats, sketch_metrics
-from ..obs.events import BURST_DRAIN
+from ..obs.events import BURST_DRAIN, STAGES
 from .burst_filter import BurstFilter
 from .cold_filter import ColdFilter
 from .config import HSConfig
@@ -50,6 +50,12 @@ class HypersistentSketch:
 
     Both are bit-for-bit equivalent — state, estimates, and counters — so
     the engine is a runtime choice and never enters :meth:`state_dict`.
+
+    :attr:`stage_seconds` maps each of :data:`~repro.obs.events.STAGES`
+    to the wall seconds the kernel engine's :meth:`insert_window` spent
+    in it; per-record and scalar-engine feeds read no stage clock.  It is
+    run timing, not state: never serialized, zeroed by
+    :meth:`reset_stats`.
 
     >>> sketch = HypersistentSketch(HSConfig(memory_bytes=64 * 1024))
     >>> for window in range(3):
@@ -99,6 +105,11 @@ class HypersistentSketch:
         # never serialized
         # staticcheck: ignore[SC-PERSIST]
         self.trace = None
+        # wall seconds per stage, added by the kernel engine's
+        # ingest_window; a run's timing, not sketch state, so it is never
+        # serialized and stays out of stats() and the metric catalog
+        # staticcheck: ignore[SC-PERSIST]
+        self.stage_seconds = dict.fromkeys(STAGES, 0.0)
 
     @property
     def engine(self) -> str:
@@ -286,19 +297,12 @@ class HypersistentSketch:
 
     def _wire_trace(self, recorder) -> None:
         """Attach (``TraceRecorder``) or detach (``None``) the flight
-        recorder on this sketch and all its stages.
-
-        Stages may be wrapped in profiler timing proxies
-        (:class:`~repro.obs.profiler.WindowProfiler`); wiring unwraps to
-        the real stage object so the hot paths see the recorder.
-        """
+        recorder on this sketch and all its stages."""
         self.trace = recorder
         for name in ("burst", "cold", "hot"):
             stage = getattr(self, name)
-            if stage is None:
-                continue
-            inner = getattr(stage, "_inner", stage)
-            inner.trace = recorder
+            if stage is not None:
+                stage.trace = recorder
 
     # ------------------------------------------------------------------
     # merge (distributed ingestion; see docs/DISTRIBUTED.md)
@@ -466,8 +470,10 @@ class HypersistentSketch:
         return problems
 
     def reset_stats(self) -> None:
-        """Zero the instrumentation counters (state is untouched)."""
+        """Zero the instrumentation counters and :attr:`stage_seconds`
+        (state is untouched)."""
         self.inserts = 0
+        self.stage_seconds = dict.fromkeys(STAGES, 0.0)
         self.cold.reset_stats()
         self.hot.reset_stats()
         if self.burst is not None:
@@ -550,4 +556,5 @@ class HypersistentSketch:
         obj.window = int(state["window"])
         obj.inserts = int(state["inserts"])
         obj.trace = None
+        obj.stage_seconds = dict.fromkeys(STAGES, 0.0)
         return obj

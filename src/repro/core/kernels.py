@@ -24,8 +24,8 @@ operating directly on the stages' structure-of-arrays storage:
   ``REPLACE_HASH`` Bernoulli trial vectorized via ``mix_array``;
 * :func:`ingest_window` — the whole-window driver gluing the three stages
   together (what ``HypersistentSketch.insert_window`` runs under
-  ``engine="kernel"``), with an optional per-stage timing hook for the
-  benchmark's stage breakdown.
+  ``engine="kernel"``), and the sketch's one stage clock: it adds each
+  window's burst / cold / hot / end wall time to ``stage_seconds``.
 
 Every kernel is **bit-for-bit equivalent** to the scalar record-at-a-time
 replay — state, estimates, reports, and the instrumentation counters all
@@ -53,6 +53,7 @@ from ..obs.events import (
     HOT_INSERT,
     HOT_REJECT,
     HOT_REPLACE,
+    STAGES,
 )
 
 #: Ingestion engine names accepted by ``HypersistentSketch(engine=...)``.
@@ -588,30 +589,21 @@ def hot_insert_batch(hot, buckets: np.ndarray, keys: np.ndarray) -> None:
 # ----------------------------------------------------------------------
 # whole-window driver
 # ----------------------------------------------------------------------
-def ingest_window(sketch, keys: np.ndarray, timings=None) -> None:
+def ingest_window(sketch, keys: np.ndarray) -> None:
     """Process one whole window through the fused SoA kernels and close it.
 
     ``keys`` must already be canonical ``uint64``
     (:func:`~repro.common.hashing.canonical_keys`).  Bit-for-bit equivalent
     to the scalar ``insert`` x N + ``end_window`` sequence, including every
-    instrumentation counter.  ``timings``, when given, is a mutable mapping
-    whose ``"burst"`` / ``"cold"`` / ``"hot"`` / ``"end"`` entries
-    accumulate per-stage wall-clock seconds (the benchmark's stage
-    breakdown); when ``None`` the clock is never read.
+    instrumentation counter.
+
+    This is the sketch's one stage clock: five ``perf_counter`` reads
+    bracket the :data:`~repro.obs.events.STAGES`, their durations add to
+    ``sketch.stage_seconds``, and an enabled flight recorder lays the
+    same four durations out as this window's stage spans.
     """
     tr = getattr(sketch, "trace", None)
-    tracing = tr is not None and tr.enabled
-    caller_timings = timings
-    if tracing:
-        # spans need this window's stage durations in isolation; the
-        # caller's (cumulative) dict is folded back in at the end
-        timings = {}
-    tick = time.perf_counter if timings is not None else None
-    if timings is not None:
-        for stage in ("burst", "cold", "hot", "end"):
-            timings.setdefault(stage, 0.0)
-    started = tick() if tick else 0.0
-    window_started = started
+    started = time.perf_counter()
     n = int(keys.size)
     sketch.inserts += n
     burst = sketch.burst
@@ -629,39 +621,24 @@ def ingest_window(sketch, keys: np.ndarray, timings=None) -> None:
                 np.concatenate((overflow, drained))
                 if overflow.size else drained
             )
-    if tick:
-        now = tick()
-        timings["burst"] += now - started
-        started = now
+    burst_done = time.perf_counter()
+    promoted = downstream
     if downstream.size:
-        # through the stage object, so a profiler's timing proxy sees the
-        # call and the counters land on the real Cold Filter
         accepted = sketch.cold.insert_batch(downstream)
-        if tick:
-            now = tick()
-            timings["cold"] += now - started
-            started = now
         promoted = downstream[~accepted]
-        if promoted.size:
-            sketch.hot.insert_batch(promoted)
-        if tick:
-            now = tick()
-            timings["hot"] += now - started
-            started = now
-    elif tick:
-        now = tick()
-        timings["cold"] += now - started
-        started = now
+    cold_done = time.perf_counter()
+    if promoted.size:
+        sketch.hot.insert_batch(promoted)
+    hot_done = time.perf_counter()
     sketch.cold.end_window()
     sketch.hot.end_window()
     sketch.window += 1
-    if tick:
-        timings["end"] += tick() - started
-    if tracing:
-        tr.record_stage_spans(sketch.window - 1, timings, window_started)
+    end_done = time.perf_counter()
+    durations = (burst_done - started, cold_done - burst_done,
+                 hot_done - cold_done, end_done - hot_done)
+    totals = sketch.stage_seconds
+    for stage, spent in zip(STAGES, durations):
+        totals[stage] += spent
+    if tr is not None and tr.enabled:
+        tr.record_stage_spans(sketch.window - 1, durations, started)
         tr.rotate(sketch.window)
-        if caller_timings is not None:
-            for stage, spent in timings.items():
-                caller_timings[stage] = (
-                    caller_timings.get(stage, 0.0) + spent
-                )

@@ -169,8 +169,6 @@ def run_stream(
     the flight recorder into the sketch's stages before streaming and
     leaves it attached afterwards, so callers can export or ``explain``
     against the finished run.  Raises for sketches without trace wiring.
-    Attachment order relative to ``profiler`` does not matter: trace
-    wiring reaches through the profiler's timing proxies.
     """
     if engine is not None:
         if not hasattr(sketch, "engine"):

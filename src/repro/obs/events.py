@@ -81,6 +81,12 @@ EVENT_STAGE = {
     WINDOW_ROTATE: "window",
 }
 
+#: The insert path's clocked stages, in execution order: Algorithm 4's
+#: three stages, then the window boundary.  ``ingest_window`` times each
+#: one into ``HypersistentSketch.stage_seconds``, and the flight
+#: recorder lays its stage spans in this order.
+STAGES = ("burst", "cold", "hot", "end")
+
 #: Cap on per-event key listings in JSON exports; bulk events always
 #: report their exact total via ``count`` even when the listing is cut.
 EXPORT_KEY_CAP = 16

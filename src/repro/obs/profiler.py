@@ -5,29 +5,26 @@ are cumulative; what a long run needs is the *per-window* view — how much
 traffic each stage took this window, how long it spent there, and where
 occupancy sits.  :class:`WindowProfiler` produces exactly that:
 
-* ``attach(sketch)`` swaps the sketch's ``burst`` / ``cold`` / ``hot``
-  stage objects for transparent timing proxies (the stages themselves are
-  ``__slots__`` classes, so their methods cannot be patched in place —
-  but the composed sketch's stage attributes can).  Every proxied hot
-  method (``insert``, ``insert_batch``, ``window_kernel``, ...) accumulates
-  wall-time into a per-stage timer; everything else delegates untouched,
-  so the scalar and batch ingest paths both profile through the same hooks.
-* ``window_closed(seconds)`` diffs the catalog counter snapshot against
-  the previous boundary and appends one flat telemetry record (counter
-  deltas, gauge levels, per-stage seconds).  Records stream to an optional
+* ``attach(sketch)`` snapshots the catalog counters and the sketch's
+  ``stage_seconds`` — the one stage clock, kept by the kernel engine's
+  :func:`~repro.core.kernels.ingest_window`.  Nothing on the sketch is
+  replaced or wrapped.
+* ``window_closed(seconds)`` diffs both against the previous boundary
+  and appends one flat telemetry record (counter deltas, gauge levels,
+  burst / cold / hot / end seconds).  Records stream to an optional
   JSON-lines sink as they are produced, which is what the live
   ``repro obs`` panel tails.
 * ``report()`` renders the aggregated stage-latency breakdown.
 
-Profiling is opt-in and fully reversible (``detach()`` restores the
-original stage objects); an un-attached sketch runs the exact pre-profiler
-code with zero added cost.
+Only the kernel engine's window path is clocked.  The per-record loop
+and ``engine="scalar"`` are the oracle and read no stage clock, so their
+records carry zero stage seconds and ``report()`` says the stages were
+not clocked.  Attaching adds nothing to the ingest path.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from time import perf_counter
 from typing import Dict, List, Optional
 
 from .catalog import (
@@ -37,19 +34,9 @@ from .catalog import (
     SKETCH_INSTRUMENTS,
     sketch_metrics,
 )
+from .events import STAGES
 from .exporters import to_jsonl
 from .registry import KIND_COUNTER, MetricsRegistry
-
-#: Stage attribute names on the composed sketch, in pipeline order.
-STAGES = ("burst", "cold", "hot")
-
-#: Methods whose wall-time is charged to their stage.  Generators
-#: (``drain``) are deliberately absent: their work interleaves with
-#: downstream inserts, so timing them would double-count.
-_TIMED_METHODS = (
-    "insert", "insert_batch", "window_kernel", "drain_array",
-    "contains", "end_window", "query",
-)
 
 #: Histogram bin edges for window/stage latencies, in seconds: ~1us .. 67s
 #: on a power-of-four grid (13 finite buckets keeps scrapes small).
@@ -62,55 +49,6 @@ _COUNTER_NAMES = frozenset(
                  + COLD_INSTRUMENTS + HOT_INSTRUMENTS)
     if spec.kind == KIND_COUNTER
 )
-
-
-class _StageTimer:
-    """Accumulated wall-time and call count for one pipeline stage."""
-
-    __slots__ = ("seconds", "calls")
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-        self.calls = 0
-
-
-class _TimedStage:
-    """Transparent proxy charging selected method calls to a timer.
-
-    Attribute reads (counters, properties) and un-timed methods delegate
-    straight to the wrapped stage, so catalog readers and ``stats()``
-    views see the live values; only the hot-path methods in
-    ``_TIMED_METHODS`` gain a ``perf_counter`` bracket.
-    """
-
-    def __init__(self, inner, timer: _StageTimer):
-        self._inner = inner
-        self._timer = timer
-        for name in _TIMED_METHODS:
-            method = getattr(inner, name, None)
-            if callable(method):
-                setattr(self, name, self._wrap(method, timer))
-
-    @staticmethod
-    def _wrap(method, timer: _StageTimer):
-        def timed(*args, **kwargs):
-            started = perf_counter()
-            try:
-                return method(*args, **kwargs)
-            finally:
-                timer.seconds += perf_counter() - started
-                timer.calls += 1
-        timed.__doc__ = method.__doc__
-        return timed
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def __len__(self) -> int:  # len() bypasses __getattr__
-        return len(self._inner)
-
-    def __repr__(self) -> str:
-        return f"_TimedStage({self._inner!r})"
 
 
 class WindowProfiler:
@@ -136,10 +74,8 @@ class WindowProfiler:
                  sink=None):
         self.registry = registry
         self.records: List[Dict] = []
-        self.timers: Dict[str, _StageTimer] = {}
         self._sink = Path(sink) if sink is not None else None
         self._sketch = None
-        self._originals: Dict[str, object] = {}
         self._baseline: Dict[str, float] = {}
         self._stage_baseline: Dict[str, float] = {}
         if self._sink is not None:
@@ -168,36 +104,22 @@ class WindowProfiler:
         return self._sketch is not None
 
     def attach(self, sketch) -> "WindowProfiler":
-        """Swap the sketch's stages for timing proxies and snapshot
-        counters.  Returns ``self`` for chaining."""
+        """Snapshot the sketch's counters and ``stage_seconds``; the
+        sketch itself is left as it is.  Returns ``self`` for chaining."""
         if self._sketch is not None:
             raise RuntimeError("profiler is already attached")
-        if not (hasattr(sketch, "cold") and hasattr(sketch, "hot")):
+        if not hasattr(sketch, "stage_seconds"):
             raise RuntimeError(
-                f"{type(sketch).__name__} has no Hypersistent stage "
-                "attributes to profile"
+                f"{type(sketch).__name__} keeps no stage clock "
+                "(stage_seconds) to profile"
             )
         self._sketch = sketch
-        for stage in STAGES:
-            inner = getattr(sketch, stage, None)
-            if inner is None:
-                continue
-            timer = self.timers.setdefault(stage, _StageTimer())
-            self._originals[stage] = inner
-            setattr(sketch, stage, _TimedStage(inner, timer))
         self._baseline = sketch_metrics(sketch)
-        self._stage_baseline = {
-            stage: timer.seconds for stage, timer in self.timers.items()
-        }
+        self._stage_baseline = dict(sketch.stage_seconds)
         return self
 
     def detach(self) -> None:
-        """Restore the original stage objects (no-op when not attached)."""
-        if self._sketch is None:
-            return
-        for stage, inner in self._originals.items():
-            setattr(self._sketch, stage, inner)
-        self._originals.clear()
+        """Stop profiling: drop the sketch reference."""
         self._sketch = None
 
     # ------------------------------------------------------------------
@@ -206,18 +128,17 @@ class WindowProfiler:
 
         ``seconds`` is the window's wall-time as measured by the caller
         (the harness times each window's feed); pass ``None`` to fall
-        back to the sum of stage time accrued since the last boundary —
-        what an event-time driver, which has no natural per-window clock,
-        reports.
+        back to the sum of stage time accrued since the last boundary.
         """
         if self._sketch is None:
             raise RuntimeError("profiler is not attached to a sketch")
         current = sketch_metrics(self._sketch)
-        stage_seconds = {}
-        for stage, timer in self.timers.items():
-            previous = self._stage_baseline.get(stage, 0.0)
-            stage_seconds[stage] = timer.seconds - previous
-            self._stage_baseline[stage] = timer.seconds
+        clock = self._sketch.stage_seconds
+        stage_seconds = {
+            stage: clock[stage] - self._stage_baseline[stage]
+            for stage in STAGES
+        }
+        self._stage_baseline = dict(clock)
         if seconds is None:
             seconds = sum(stage_seconds.values())
         record: Dict[str, float] = {
@@ -247,17 +168,14 @@ class WindowProfiler:
         """Aggregated run summary: totals, per-stage seconds and shares."""
         total_seconds = sum(r["seconds"] for r in self.records)
         stage_seconds = {
-            stage: sum(r.get(f"{stage}_seconds", 0.0) for r in self.records)
-            for stage in self.timers
+            stage: sum(r[f"{stage}_seconds"] for r in self.records)
+            for stage in STAGES
         }
         timed = sum(stage_seconds.values())
         return {
             "windows": len(self.records),
             "seconds": total_seconds,
             "stage_seconds": stage_seconds,
-            "stage_calls": {
-                stage: timer.calls for stage, timer in self.timers.items()
-            },
             "stage_share": {
                 stage: (spent / timed if timed else 0.0)
                 for stage, spent in stage_seconds.items()
@@ -271,19 +189,23 @@ class WindowProfiler:
         lines = [
             f"stage-latency profile: {summary['windows']} windows, "
             f"{summary['seconds'] * 1e3:.2f}ms total",
-            f"{'stage':<8} {'seconds':>10} {'share':>7} {'calls':>9}",
         ]
-        for stage in STAGES:
-            if stage not in summary["stage_seconds"]:
-                continue
+        if any(summary["stage_seconds"].values()):
+            lines.append(f"{'stage':<8} {'seconds':>10} {'share':>7}")
+            for stage in STAGES:
+                lines.append(
+                    f"{stage:<8} {summary['stage_seconds'][stage]:>10.6f} "
+                    f"{summary['stage_share'][stage]:>6.1%}"
+                )
             lines.append(
-                f"{stage:<8} {summary['stage_seconds'][stage]:>10.4f} "
-                f"{summary['stage_share'][stage]:>6.1%} "
-                f"{summary['stage_calls'][stage]:>9}"
+                f"{'(other)':<8} {summary['overhead_seconds']:>10.6f}"
             )
-        lines.append(
-            f"{'(other)':<8} {summary['overhead_seconds']:>10.4f}"
-        )
+        else:
+            lines.append(
+                "stages not clocked: per-record and scalar-engine feeds "
+                "read no stage clock (the kernel engine's insert_window "
+                "does)"
+            )
         if self.records:
             last = self.records[-1]
             occupancy = last.get("hs_hot_occupancy")

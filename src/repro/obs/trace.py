@@ -41,6 +41,7 @@ from .events import (
     EVENT_KINDS,
     EVENT_STAGE,
     EXPORT_KEY_CAP,
+    STAGES,
     WINDOW_ROTATE,
     StageEvent,
 )
@@ -51,10 +52,6 @@ PathLike = Union[str, Path]
 #: (one slot per wave-stage, not per item) while staying a few MB worst
 #: case.
 DEFAULT_CAPACITY = 4096
-
-#: Stage-span names laid out by :meth:`TraceRecorder.record_stage_spans`,
-#: in execution order within a window.
-STAGE_SPAN_ORDER = ("burst", "cold", "hot", "end")
 
 
 class Span(NamedTuple):
@@ -135,21 +132,22 @@ class TraceRecorder:
         self.spans.append(Span(name, int(window),
                                started - self._t0, now - started))
 
-    def record_stage_spans(self, window: int, timings: Dict[str, float],
+    def record_stage_spans(self, window: int, durations: Sequence[float],
                            started: float) -> None:
-        """Lay per-stage spans back-to-back from ``started`` using the
-        stage durations accumulated in ``timings`` (the ``ingest_window``
-        timings-dict convention), plus one covering ``window`` span.
+        """Lay one span per :data:`~repro.obs.events.STAGES` entry
+        back-to-back from ``started`` (a ``perf_counter`` stamp), taking
+        their lengths from ``durations`` in that order, plus one covering
+        ``window`` span.
 
-        The stages do run sequentially inside a window, so the
-        back-to-back layout matches reality up to untimed glue.
+        ``ingest_window`` passes the durations it reads at the stage
+        boundaries, so the spans tile the window exactly.
         """
         if not self.enabled:
             return
         cursor = started - self._t0
         total = 0.0
-        for name in STAGE_SPAN_ORDER:
-            dur = float(timings.get(name, 0.0))
+        for name, dur in zip(STAGES, durations):
+            dur = float(dur)
             self.spans.append(Span(name, int(window), cursor, dur))
             cursor += dur
             total += dur
@@ -245,7 +243,7 @@ def to_chrome_trace(recorder: TraceRecorder,
     the recorder epoch.
     """
     tids = {name: i + 1 for i, name in
-            enumerate(("window",) + STAGE_SPAN_ORDER)}
+            enumerate(("window",) + STAGES)}
     trace_events: List[dict] = []
     for span in recorder.spans:
         trace_events.append({

@@ -4,8 +4,7 @@ Every rule encodes a bug class this repository has shipped and fixed:
 nondeterministic iteration breaking replay (SC-DET), ``state_dict()``
 omissions breaking bit-identical resume (SC-PERSIST), unpickling
 (SC-PICKLE), broad handlers swallowing decode errors
-(SC-EXC), float arithmetic feeding integer counters (SC-INT), and shared
-mutable defaults (SC-MUTDEF).  ``repro lint`` runs the engine from the
+(SC-EXC), and shared mutable defaults (SC-MUTDEF).  ``repro lint`` runs the engine from the
 CLI; ``scripts/check_lint.py`` is the CI gate with the
 ``LINT_baseline.json`` grandfathering workflow.
 

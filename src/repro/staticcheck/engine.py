@@ -8,7 +8,7 @@ Suppression syntax — on the finding's line, or alone on the line
 directly above it::
 
     risky_call()  # staticcheck: ignore[SC-DET]
-    other_call()  # staticcheck: ignore[SC-DET,SC-INT] on purpose
+    other_call()  # staticcheck: ignore[SC-DET,SC-LOOP] on purpose
     # staticcheck: ignore[SC-PERSIST] derived; from_state recomputes
     self._scan_cost = simd_scan_cost(cells)
 
@@ -200,7 +200,6 @@ def default_registry() -> RuleRegistry:
     from .rules_ast import (
         BroadExceptRule,
         DeterminismRule,
-        IntegerCounterRule,
         MutableDefaultRule,
         ObsGuardRule,
         PickleRule,
@@ -220,7 +219,6 @@ def default_registry() -> RuleRegistry:
     registry.add(PersistContractRule())
     registry.add(PickleRule())
     registry.add(BroadExceptRule())
-    registry.add(IntegerCounterRule())
     registry.add(MutableDefaultRule())
     registry.add(ScalarLoopRule())
     registry.add(ObsGuardRule())

@@ -1,4 +1,4 @@
-"""Single-file rules: determinism, pickle, exceptions, counters, defaults.
+"""Single-file rules: determinism, pickle, exceptions, defaults, loops.
 
 Each rule here encodes a bug class this repository has actually shipped
 and fixed (see ``docs/STATIC_ANALYSIS.md`` for the history); the linter
@@ -341,69 +341,6 @@ class BroadExceptRule(Rule):
                 f"{label} swallows the error; re-raise as SnapshotError "
                 f"so corruption can never load silently",
             ))
-        return findings
-
-
-class IntegerCounterRule(Rule):
-    """SC-INT: float arithmetic feeding integer sketch counters.
-
-    Sketch counters are saturating *integers* (``SaturatingCounterArray``);
-    a float literal or true division in an ``increment``/``increment_at``
-    argument (or in the array's sizing) truncates silently on store and
-    drifts estimates.  Use ``//`` or explicit ``int(...)``.
-    """
-
-    rule_id = "SC-INT"
-    severity = ERROR
-    description = ("float literals or true division feeding counter "
-                   "increments")
-    scope_prefixes = ("src/repro/",)
-
-    _counter_methods = frozenset({"increment", "increment_at"})
-
-    @staticmethod
-    def _float_taint(node: ast.AST) -> bool:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Constant) and isinstance(sub.value,
-                                                            float):
-                return True
-            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div):
-                return True
-        return False
-
-    def check_file(
-        self, relpath: str, tree: ast.AST, source: str
-    ) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            is_counter_call = (
-                isinstance(func, ast.Attribute)
-                and func.attr in self._counter_methods
-            )
-            is_ctor = (
-                (isinstance(func, ast.Name)
-                 and func.id == "SaturatingCounterArray")
-                or (isinstance(func, ast.Attribute)
-                    and func.attr == "SaturatingCounterArray")
-            )
-            if not (is_counter_call or is_ctor):
-                continue
-            tainted = [
-                arg for arg in list(node.args)
-                + [kw.value for kw in node.keywords]
-                if self._float_taint(arg)
-            ]
-            for arg in tainted:
-                what = (f"{func.attr}()" if isinstance(func, ast.Attribute)
-                        else "SaturatingCounterArray(...)")
-                findings.append(self.finding(
-                    relpath, arg,
-                    f"float-valued expression feeds {what}; counters are "
-                    f"integers — use // or int(...)",
-                ))
         return findings
 
 

@@ -44,7 +44,6 @@ class StreamDriver:
         window_duration: float,
         late_policy: str = LATE_CURRENT,
         max_catchup_windows: int = 100_000,
-        profiler=None,
         checkpoint_path=None,
         checkpoint_every: int = 1,
         trace_recorder=None,
@@ -61,9 +60,6 @@ class StreamDriver:
         self.window_duration = float(window_duration)
         self.late_policy = late_policy
         self.max_catchup_windows = max_catchup_windows
-        self.profiler = profiler
-        if profiler is not None and hasattr(sketch, "cold"):
-            profiler.attach(sketch)
         # flight recorder (repro.obs.trace): wired only for sketches that
         # support it; the driver never emits events itself
         self.trace_recorder = trace_recorder
@@ -112,11 +108,7 @@ class StreamDriver:
         self.sketch.insert(item)
 
     def _close_window(self) -> None:
-        """Fire one boundary; report it to the profiler when present.
-
-        The driver has no natural per-window wall clock (processing time
-        interleaves with event arrival), so the profiler falls back to
-        the stage time accrued since the previous boundary.
+        """Fire one boundary.
 
         With a ``checkpoint_path`` configured, every ``checkpoint_every``-th
         boundary atomically persists the driver (clock, counters, sketch);
@@ -125,8 +117,6 @@ class StreamDriver:
         """
         self.sketch.end_window()
         self._current_window += 1
-        if self.profiler is not None and self.profiler.attached:
-            self.profiler.window_closed(None)
         if self.checkpoint_path is not None and \
                 self._current_window % self.checkpoint_every == 0:
             self.checkpoint(self.checkpoint_path)
@@ -155,7 +145,7 @@ class StreamDriver:
         })
 
     @classmethod
-    def restore(cls, path, profiler=None, checkpoint_path=None,
+    def restore(cls, path, checkpoint_path=None,
                 checkpoint_every: int = 1) -> "StreamDriver":
         """Rebuild a driver checkpointed with :meth:`checkpoint`.
 
@@ -180,7 +170,6 @@ class StreamDriver:
                 window_duration=payload["window_duration"],
                 late_policy=payload["late_policy"],
                 max_catchup_windows=int(payload["max_catchup_windows"]),
-                profiler=profiler,
                 checkpoint_path=checkpoint_path,
                 checkpoint_every=checkpoint_every,
             )

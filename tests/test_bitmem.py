@@ -5,7 +5,6 @@ import pytest
 from repro.common.bitmem import (
     FlagArray,
     MemoryReport,
-    SaturatingCounterArray,
     cells_for_budget,
     counter_bits_for,
     split_budget,
@@ -56,45 +55,6 @@ class TestSplitBudget:
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError):
             split_budget(10, 0, 0)
-
-
-class TestSaturatingCounterArray:
-    def test_starts_zero(self):
-        arr = SaturatingCounterArray(4, bits=4)
-        assert all(arr[i] == 0 for i in range(4))
-
-    def test_increment_and_read(self):
-        arr = SaturatingCounterArray(2, bits=4)
-        assert arr.increment(0) == 1
-        assert arr[0] == 1 and arr[1] == 0
-
-    def test_saturates_at_cap(self):
-        arr = SaturatingCounterArray(1, bits=4)
-        for _ in range(30):
-            arr.increment(0)
-        assert arr[0] == 15
-
-    def test_set_clamps(self):
-        arr = SaturatingCounterArray(1, bits=3)
-        arr.set(0, 100)
-        assert arr[0] == 7
-        arr.set(0, -5)
-        assert arr[0] == 0
-
-    def test_clear(self):
-        arr = SaturatingCounterArray(3, bits=8)
-        arr.increment(1, by=5)
-        arr.clear()
-        assert arr[1] == 0
-
-    def test_modeled_bits(self):
-        assert SaturatingCounterArray(10, bits=5).modeled_bits == 50
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SaturatingCounterArray(0, bits=4)
-        with pytest.raises(ValueError):
-            SaturatingCounterArray(4, bits=0)
 
 
 class TestFlagArray:

@@ -125,6 +125,19 @@ class TestEstimateAndFind:
             assert main(["estimate", trace_file, "--algorithm", name,
                          "--memory-kb", "8"]) == 0
 
+    def test_checkpoint_creates_missing_out_directory(self, trace_file,
+                                                      tmp_path, capsys):
+        ckpt = tmp_path / "a" / "b" / "x.ckpt"
+        assert main(["checkpoint", trace_file, "--algorithm", "HS",
+                     "--memory-kb", "16", "--every", "7",
+                     "--stop-after", "10", "--out", str(ckpt)]) == 0
+        assert ckpt.is_file()
+        capsys.readouterr()
+        assert main(["resume", str(ckpt), trace_file,
+                     "--check-full"]) == 0
+        assert "bit-equal to an uninterrupted run" in \
+            capsys.readouterr().out
+
     def test_find(self, trace_file, capsys):
         code = main([
             "find", trace_file, "--algorithm", "HS",

@@ -41,6 +41,7 @@ from repro.obs import (
     to_prometheus,
 )
 from repro.obs.catalog import LEGACY_SKETCH_KEYS
+from repro.obs.events import STAGES
 from repro.persist import encode_state
 
 # Windowed streams biased toward the kernel's edge shapes: some windows
@@ -231,16 +232,57 @@ class TestEngineSelector:
     @given(windows=windows_strategy)
     @settings(max_examples=20, deadline=None)
     def test_ingest_window_timings_cover_all_stages(self, windows):
+        # the one stage clock: every kernel window, empty ones included,
+        # adds time to all four stages
         config = HSConfig.for_estimation(2 * 1024, len(windows), seed=9)
         sketch = HypersistentSketch(config)
-        timings = {}
         for items in windows:
-            ingest_window(
-                sketch, np.array(items, dtype=np.uint64), timings)
-        assert set(timings) == {"burst", "cold", "hot", "end"}
-        assert all(v >= 0.0 for v in timings.values())
+            before = dict(sketch.stage_seconds)
+            ingest_window(sketch, np.array(items, dtype=np.uint64))
+            assert tuple(sketch.stage_seconds) == STAGES
+            for stage in STAGES:
+                assert sketch.stage_seconds[stage] > before[stage], stage
         oracle = scalar_feed(HypersistentSketch(config), windows)
         assert oracle.stats() == sketch.stats()
+
+
+class TestStageClock:
+    """``stage_seconds``: kernel-path run timing, never state."""
+
+    WINDOWS = [[1, 2, 3, 2, 1], [], [4] * 9, list(range(40))]
+
+    def config(self):
+        return HSConfig.for_estimation(2 * 1024, len(self.WINDOWS), seed=9)
+
+    def test_scalar_engine_reads_no_stage_clock(self):
+        sketch = HypersistentSketch(self.config(), engine="scalar")
+        kernel_feed(sketch, self.WINDOWS)
+        sketch.insert_batch([5, 6, 5])
+        sketch.end_window()
+        per_record = scalar_feed(HypersistentSketch(self.config()),
+                                 self.WINDOWS)
+        zeros = dict.fromkeys(STAGES, 0.0)
+        assert sketch.stage_seconds == per_record.stage_seconds == zeros
+
+    def test_stage_clock_stays_out_of_state_stats_and_metrics(self):
+        sketch = kernel_feed(HypersistentSketch(self.config()),
+                             self.WINDOWS)
+        assert all(v > 0 for v in sketch.stage_seconds.values())
+        views = (encode_state(sketch.state_dict()), sketch.stats(),
+                 sketch_metrics(sketch))
+        sketch.stage_seconds = {stage: 1e6 for stage in STAGES}
+        assert (encode_state(sketch.state_dict()), sketch.stats(),
+                sketch_metrics(sketch)) == views
+
+    def test_restore_and_reset_start_the_clock_at_zero(self):
+        sketch = kernel_feed(HypersistentSketch(self.config()),
+                             self.WINDOWS)
+        zeros = dict.fromkeys(STAGES, 0.0)
+        restored = HypersistentSketch.from_state(sketch.state_dict())
+        assert restored.stage_seconds == zeros
+        assert sketch.stage_seconds != zeros
+        sketch.reset_stats()
+        assert sketch.stage_seconds == zeros
 
 
 class TestSketchEquivalence:

@@ -1,4 +1,4 @@
-"""Profiler semantics: stage timing proxies, window records, parity."""
+"""Profiler semantics: stage-clock deltas, window records, parity."""
 
 import pytest
 
@@ -17,6 +17,7 @@ from repro.obs import (
     sketch_metrics,
 )
 from repro.obs.catalog import LEGACY_SKETCH_KEYS
+from repro.obs.events import STAGES
 from repro.streams import zipf_trace
 
 
@@ -33,15 +34,25 @@ def feed(sketch, n_windows=4, per_window=120):
         sketch.end_window()
 
 
+def feed_windows(sketch, n_windows=4, per_window=120):
+    """``feed``'s stream, one kernel ``insert_window`` per window."""
+    for w in range(n_windows):
+        sketch.insert_window(
+            [f"item-{(i * (w + 1)) % 37}" for i in range(per_window)])
+
+
 class TestAttachDetach:
-    def test_attach_swaps_and_detach_restores_stages(self):
+    def test_attach_keeps_stage_objects(self):
+        # the profiler reads the sketch's stage clock; it wraps nothing
         sketch = small_sketch()
         originals = (sketch.burst, sketch.cold, sketch.hot)
         profiler = WindowProfiler().attach(sketch)
-        assert sketch.cold is not originals[1]
-        assert sketch.cold.delta1 == originals[1].delta1  # delegation
+        stages = (sketch.burst, sketch.cold, sketch.hot)
+        assert all(a is b for a, b in zip(stages, originals))
         profiler.detach()
-        assert (sketch.burst, sketch.cold, sketch.hot) == originals
+        assert not profiler.attached
+        stages = (sketch.burst, sketch.cold, sketch.hot)
+        assert all(a is b for a, b in zip(stages, originals))
 
     def test_double_attach_rejected(self):
         profiler = WindowProfiler().attach(small_sketch())
@@ -81,7 +92,7 @@ class TestWindowRecords:
             assert record["window"] == w + 1
             assert record["hs_inserts_total"] == 50  # per-window delta
             assert record["hs_windows_total"] == 1
-            for stage in ("burst", "cold", "hot"):
+            for stage in STAGES:
                 assert f"{stage}_seconds" in record
 
     def test_counter_deltas_sum_to_totals(self):
@@ -104,12 +115,11 @@ class TestWindowRecords:
     def test_none_seconds_falls_back_to_stage_time(self):
         sketch = small_sketch()
         profiler = WindowProfiler().attach(sketch)
-        for i in range(30):
-            sketch.insert(f"k{i}")
-        sketch.end_window()
+        sketch.insert_window([f"k{i}" for i in range(30)])
         record = profiler.window_closed(None)
+        assert record["seconds"] > 0
         assert record["seconds"] == pytest.approx(
-            sum(record[f"{s}_seconds"] for s in ("burst", "cold", "hot"))
+            sum(record[f"{s}_seconds"] for s in STAGES)
         )
 
     def test_sink_streams_jsonl(self, tmp_path):
@@ -140,20 +150,33 @@ class TestProfileSummary:
     def test_report_names_every_stage(self):
         sketch = small_sketch()
         profiler = WindowProfiler().attach(sketch)
-        feed(sketch, n_windows=3)
-        for _ in range(3):
-            pass
+        feed_windows(sketch, n_windows=3)
         profiler.window_closed(0.01)
         report = profiler.report()
-        for token in ("burst", "cold", "hot", "stage-latency", "share"):
+        for token in STAGES + ("stage-latency", "share"):
             assert token in report
+        assert "not clocked" not in report
+
+    def test_report_says_per_record_stages_not_clocked(self):
+        # the per-record oracle loop reads no stage clock: one line, no
+        # rows of zeros
+        sketch = small_sketch()
+        profiler = WindowProfiler().attach(sketch)
+        feed(sketch, n_windows=3)
+        profiler.window_closed(0.01)
+        report = profiler.report()
+        assert "stages not clocked" in report
+        assert "share" not in report
+        assert all(not line.startswith(STAGES)
+                   for line in report.splitlines())
 
     def test_profile_shares_sum_to_one(self):
         sketch = small_sketch()
         profiler = WindowProfiler().attach(sketch)
-        feed(sketch, n_windows=2)
+        feed_windows(sketch, n_windows=2)
         profiler.window_closed(1.0)
         summary = profiler.profile()
+        assert set(summary["stage_seconds"]) == set(STAGES)
         assert sum(summary["stage_share"].values()) == pytest.approx(1.0)
         assert summary["windows"] == 1
 
@@ -172,25 +195,35 @@ class TestHarnessIntegration:
             assert result.profile["windows"] == trace.n_windows
             assert len(profiler.records) == trace.n_windows
             assert not profiler.attached  # harness detaches afterwards
-            # stage time must have been observed on both ingest paths
-            assert result.profile["stage_seconds"]["cold"] > 0
+            assert result.profile["seconds"] > 0
+            # only the kernel window path is stage-clocked; the
+            # per-record loop is the oracle and reads no stage clock
+            stage_seconds = result.profile["stage_seconds"]
+            assert [stage_seconds[s] > 0 for s in STAGES] == \
+                [batched] * len(STAGES)
 
     @pytest.mark.parametrize("build", [HypersistentSketch,
                                        make_hypersistent_simd],
                              ids=["plain", "simd"])
     @pytest.mark.parametrize("engine", ENGINES)
     def test_profiled_run_matches_unprofiled(self, engine, build):
-        # the timing proxies must let every stage counter update reach the
-        # real stage, on both engines and both burst builds
+        # a profiled run counts exactly what an unprofiled one does, on
+        # both engines and both burst builds
         trace = zipf_trace(2000, 10, seed=11, n_items=200)
         config = HSConfig.for_estimation(8 * 1024, 10, seed=3)
         plain = run_stream(build(config), trace, engine=engine)
         profiled = run_stream(build(config), trace, engine=engine,
                               profiler=WindowProfiler())
         assert plain.stats == profiled.stats
-        # every stage's time is observed, burst included on the kernel path
-        for stage in ("burst", "cold", "hot"):
-            assert profiled.profile["stage_seconds"][stage] > 0, stage
+        stage_seconds = profiled.profile["stage_seconds"]
+        if engine == "kernel":
+            # every stage's time is observed, burst and end included
+            for stage in STAGES:
+                assert stage_seconds[stage] > 0, stage
+        else:
+            # the scalar engine is the oracle and reads no stage clock
+            assert all(v == 0 for v in stage_seconds.values())
+            assert profiled.profile["seconds"] > 0
 
 
 class TestLegacyParity:

@@ -8,7 +8,7 @@ Three layers:
   baseline round-trips, the SC-PARSE pseudo-rule;
 * gate-level — ``scripts/check_lint.py`` run as a subprocess over a
   mutated copy of ``src/repro`` must exit non-zero for each of the
-  thirteen seeded bug patterns, and zero for the untouched copy.
+  twelve seeded bug patterns, and zero for the untouched copy.
 
 The tier-2 (CFG/dataflow) concurrency rules have their own fixture and
 unit coverage in ``test_staticcheck_cfg.py`` and
@@ -39,7 +39,6 @@ from repro.staticcheck.engine import PARSE_RULE_ID
 from repro.staticcheck.rules_ast import (
     BroadExceptRule,
     DeterminismRule,
-    IntegerCounterRule,
     MutableDefaultRule,
     ObsGuardRule,
     PickleRule,
@@ -64,7 +63,6 @@ class TestRuleFixtures:
         (DeterminismRule, "det", "src/repro/core/{stem}.py", 7),
         (PickleRule, "pickle", "src/repro/persist/{stem}.py", 3),
         (BroadExceptRule, "exc", "src/repro/persist/{stem}.py", 3),
-        (IntegerCounterRule, "int", "src/repro/core/{stem}.py", 4),
         (MutableDefaultRule, "mutdef", "src/repro/core/{stem}.py", 5),
         (ScalarLoopRule, "loop", "src/repro/core/{stem}.py", 3),
         (ObsGuardRule, "obs", "src/repro/core/{stem}.py", 3),
@@ -254,7 +252,7 @@ class TestEngine:
         registry = default_registry()
         ids = [rule.rule_id for rule in registry.select(None, None)]
         assert ids == ["SC-DET", "SC-PERSIST", "SC-PICKLE",
-                       "SC-EXC", "SC-INT", "SC-MUTDEF", "SC-LOOP",
+                       "SC-EXC", "SC-MUTDEF", "SC-LOOP",
                        "SC-OBS", "SC-ASYNC-RACE", "SC-BLOCK",
                        "SC-AWAIT", "SC-FORK", "SC-BARRIER"]
         only = registry.select(["SC-DET"], None)
@@ -347,7 +345,7 @@ class TestLintCLI:
         proc = run_cli(["--list"])
         assert proc.returncode == 0
         for rule_id in ("SC-DET", "SC-PERSIST", "SC-PICKLE",
-                        "SC-EXC", "SC-INT", "SC-MUTDEF", "SC-LOOP",
+                        "SC-EXC", "SC-MUTDEF", "SC-LOOP",
                         "SC-OBS", "SC-ASYNC-RACE", "SC-BLOCK",
                         "SC-AWAIT", "SC-FORK", "SC-BARRIER"):
             assert rule_id in proc.stdout
@@ -402,12 +400,6 @@ MUTATIONS = {
         "        return decode(path)\n"
         "    except Exception:\n"
         "        return None\n",
-    ),
-    "SC-INT": (
-        "src/repro/core/_mut_int.py",
-        None,
-        "def bump(counters, idx):\n"
-        "    counters.increment(idx, 1.5)\n",
     ),
     "SC-MUTDEF": (
         "src/repro/core/_mut_mutdef.py",

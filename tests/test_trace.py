@@ -21,8 +21,7 @@ from repro.obs import (
     validate_chrome_trace,
     write_events_jsonl,
 )
-from repro.obs.events import EXPORT_KEY_CAP, WINDOW_ROTATE
-from repro.obs.trace import STAGE_SPAN_ORDER
+from repro.obs.events import EXPORT_KEY_CAP, STAGES, WINDOW_ROTATE
 from repro.persist import encode_state
 
 
@@ -172,15 +171,26 @@ class TestSpans:
         windows = make_windows()
         sketch, recorder = traced_sketch("kernel", n_windows=len(windows))
         feed(sketch, windows)
-        per_window = len(STAGE_SPAN_ORDER) + 1  # stages + window span
+        per_window = len(STAGES) + 1  # stages + window span
         assert len(recorder.spans) == per_window * len(windows)
         names = {span.name for span in recorder.spans}
-        assert names == set(STAGE_SPAN_ORDER) | {"window"}
+        assert names == set(STAGES) | {"window"}
         # stage spans tile the window span back-to-back
         first = [s for s in recorder.spans if s.window == 0]
         window_span = next(s for s in first if s.name == "window")
         stage_total = sum(s.dur for s in first if s.name != "window")
         assert window_span.dur == pytest.approx(stage_total)
+
+    def test_stage_spans_sum_to_stage_seconds(self):
+        # spans and stage_seconds come from the same clock reads
+        windows = make_windows()
+        sketch, recorder = traced_sketch("kernel", n_windows=len(windows))
+        feed(sketch, windows)
+        for stage in STAGES:
+            spent = sum(s.dur for s in recorder.spans if s.name == stage)
+            assert spent == pytest.approx(sketch.stage_seconds[stage],
+                                          rel=1e-12, abs=0.0)
+            assert spent > 0
 
     def test_scalar_records_no_spans(self):
         sketch, recorder = traced_sketch("scalar")
@@ -290,9 +300,9 @@ class TestExplain:
 
 
 class TestInterop:
-    def test_profiler_proxies_do_not_hide_the_recorder(self):
-        # attach order: profiler first wraps stages in timing proxies;
-        # the recorder must still reach the real stage objects
+    def test_profiler_and_recorder_read_one_clock(self):
+        # both read the kernel's stage clock: each window record's stage
+        # seconds are that window's span durations
         sketch = make_hypersistent_simd(
             HSConfig.for_estimation(4 * 1024, 8, seed=7), engine="kernel")
         profiler = WindowProfiler().attach(sketch)
@@ -302,7 +312,15 @@ class TestInterop:
             profiler.window_closed()
         assert recorder.emitted > 0
         assert len(profiler.records) == 3
-        assert sum(t.seconds for t in profiler.timers.values()) > 0
+        for record in profiler.records:
+            spans = {s.name: s.dur for s in recorder.spans
+                     if s.window == record["window"] - 1}
+            for stage in STAGES:
+                assert record[f"{stage}_seconds"] > 0
+                assert record[f"{stage}_seconds"] == pytest.approx(
+                    spans[stage], rel=1e-9)
+            assert record["seconds"] == pytest.approx(spans["window"],
+                                                      rel=1e-9)
 
     def test_from_state_restores_with_trace_detached(self):
         sketch, recorder = traced_sketch("scalar")
