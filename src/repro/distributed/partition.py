@@ -19,10 +19,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from ..common.errors import ConfigError
-from ..common.hashing import HashFamily, canonical_keys
+from ..common.hashing import HashFamily
 from ..core.config import HSConfig
 from ..streams.model import Trace
 
@@ -89,19 +87,17 @@ def partition_trace(trace: Trace, n_workers: int, seed: int = 42) -> List[Trace]
     numbering are preserved; a worker's empty windows stay empty) and
     its records in stream order, so feeding partition ``i`` to a sketch
     reproduces shard ``i`` of a single-process sharded run exactly.
-    Items are canonicalized once here; the sub-traces carry integer keys.
     """
     if n_workers < 1:
         raise ConfigError("need at least one worker")
-    keys = canonical_keys(trace.items)
-    wids = np.asarray(trace.window_ids, dtype=np.int64)
+    keys, wids = trace.key_column, trace.window_column
     route = partition_router(seed).index_batch(keys, 0, n_workers)
     parts: List[Trace] = []
     for i in range(n_workers):
         mask = route == i
         parts.append(Trace(
-            keys[mask].tolist(),
-            wids[mask].tolist(),
+            keys[mask],
+            wids[mask],
             trace.n_windows,
             name=f"{trace.name}/part{i}of{n_workers}",
         ))

@@ -62,12 +62,11 @@ class WindowProfiler:
 
     >>> from repro.core import HSConfig, HypersistentSketch
     >>> sketch = HypersistentSketch(HSConfig(memory_bytes=16 * 1024))
-    >>> profiler = WindowProfiler()
-    >>> profiler.attach(sketch)
+    >>> profiler = WindowProfiler().attach(sketch)
     >>> sketch.insert("flow"); sketch.end_window()
-    >>> profiler.window_closed(0.001)
-    >>> profiler.records[0]["hs_inserts_total"]
-    1
+    >>> record = profiler.window_closed(0.001)
+    >>> record["hs_inserts_total"], profiler.records == [record]
+    (1, True)
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import StreamError
-from ..common.hashing import derive_seed
-from .model import Trace
+from ..common.hashing import canonical_key, derive_seed
+from .model import Trace, even_window_ids
 
 _ADV_BASE = 1 << 40
 
@@ -30,11 +30,9 @@ def distinct_flood(n_records: int, n_windows: int, seed: int = 1) -> Trace:
     """Every record is a never-seen-before item."""
     if n_records < 1 or n_windows < 1:
         raise StreamError("need n_records >= 1 and n_windows >= 1")
-    items = [_ADV_BASE + i for i in range(n_records)]
-    wids = [min(n_windows - 1, i * n_windows // n_records)
-            for i in range(n_records)]
-    return Trace(items, wids, n_windows, name="distinct_flood",
-                 meta={"seed": seed})
+    items = _ADV_BASE + np.arange(n_records, dtype=np.int64)
+    return Trace(items, even_window_ids(n_records, n_windows), n_windows,
+                 name="distinct_flood", meta={"seed": seed})
 
 
 def single_item_flood(
@@ -43,11 +41,9 @@ def single_item_flood(
     """One item repeated for the whole stream (persistence == n_windows)."""
     if n_records < n_windows:
         raise StreamError("need at least one record per window")
-    items = [item] * n_records
-    wids = [min(n_windows - 1, i * n_windows // n_records)
-            for i in range(n_records)]
-    return Trace(items, wids, n_windows, name="single_item_flood",
-                 meta={"seed": seed})
+    items = np.full(n_records, canonical_key(item), dtype=np.uint64)
+    return Trace(items, even_window_ids(n_records, n_windows), n_windows,
+                 name="single_item_flood", meta={"seed": seed})
 
 
 def boundary_spikes(
@@ -62,15 +58,12 @@ def boundary_spikes(
     if n_items < 1 or n_windows < 1:
         raise StreamError("need n_items >= 1 and n_windows >= 1")
     rng = np.random.default_rng(derive_seed(seed, n_items, n_windows))
-    items = []
-    wids = []
-    for wid in range(0, n_windows, 2):
-        order = rng.permutation(n_items)
-        for i in order:
-            items.append(_ADV_BASE + int(i))
-            wids.append(wid)
-    return Trace(items, wids, n_windows, name="boundary_spikes",
-                 meta={"seed": seed})
+    even = np.arange(0, n_windows, 2, dtype=np.int64)
+    items = _ADV_BASE + np.concatenate(
+        [rng.permutation(n_items) for _ in even]
+    )
+    return Trace(items, np.repeat(even, n_items), n_windows,
+                 name="boundary_spikes", meta={"seed": seed})
 
 
 def churn_trace(
@@ -87,13 +80,10 @@ def churn_trace(
     """
     if n_items_per_phase < 1 or n_windows < 1 or phase < 1:
         raise StreamError("all parameters must be >= 1")
-    items = []
-    wids = []
-    for wid in range(n_windows):
-        cohort = wid // phase
-        base = _ADV_BASE + cohort * n_items_per_phase
-        for i in range(n_items_per_phase):
-            items.append(base + i)
-            wids.append(wid)
-    return Trace(items, wids, n_windows, name="churn",
+    wids = np.repeat(np.arange(n_windows, dtype=np.int64),
+                     n_items_per_phase)
+    cohort_base = _ADV_BASE + (wids // phase) * n_items_per_phase
+    offsets = np.tile(np.arange(n_items_per_phase, dtype=np.int64),
+                      n_windows)
+    return Trace(cohort_base + offsets, wids, n_windows, name="churn",
                  meta={"phase": phase, "seed": seed})

@@ -39,8 +39,7 @@ def save_trace_csv(trace: Trace, path: PathLike) -> None:
         )
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for item, wid in trace.records():
-            writer.writerow((item, wid))
+        writer.writerows(trace.records())
 
 
 def load_trace_csv(path: PathLike) -> Trace:
@@ -72,12 +71,13 @@ def load_trace_csv(path: PathLike) -> Trace:
 
 
 def save_trace_npz(trace: Trace, path: PathLike) -> None:
-    """Write a trace as a compressed ``.npz`` archive."""
+    """Write a trace as a compressed ``.npz`` archive (the key column as
+    its ``int64`` view, so keys at or above ``2**63`` round-trip)."""
     path = Path(path)
     np.savez_compressed(
         path,
-        items=np.asarray(trace.items, dtype=np.int64),
-        window_ids=np.asarray(trace.window_ids, dtype=np.int64),
+        items=trace.key_column.view(np.int64),
+        window_ids=trace.window_column,
         n_windows=np.asarray([trace.n_windows], dtype=np.int64),
         header=np.frombuffer(
             json.dumps({"name": trace.name, "meta": trace.meta}).encode(),
@@ -87,13 +87,14 @@ def save_trace_npz(trace: Trace, path: PathLike) -> None:
 
 
 def load_trace_npz(path: PathLike) -> Trace:
-    """Read a trace written by :func:`save_trace_npz`."""
+    """Read a trace written by :func:`save_trace_npz`; the file's arrays
+    become the trace's columns without a copy."""
     path = Path(path)
     with np.load(path) as data:
         header = json.loads(bytes(data["header"]).decode())
         return Trace(
-            data["items"].tolist(),
-            data["window_ids"].tolist(),
+            data["items"],
+            data["window_ids"],
             int(data["n_windows"][0]),
             name=header.get("name", path.stem),
             meta=header.get("meta", {}),

@@ -3,128 +3,167 @@
 The paper's model (Section II-A): a stream ``S = {(e_i, t_i)}`` with
 monotonically increasing times, evenly divided into ``w`` windows.  For the
 library we precompute each record's window id once (``Trace``), because every
-sketch and the oracle consume the same windowed view.
+sketch and the oracle consume the same windowed view.  A trace is columnar:
+one canonical ``uint64`` key column and one ``int64`` window-id column, both
+read-only, so the batch path slices them without a Python-list round trip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..common.errors import StreamError
-from ..common.hashing import canonical_keys
+from ..common.hashing import canonical_key
 
 
-@dataclass
+def _key_column(items) -> np.ndarray:
+    """``items`` as canonical ``uint64`` keys (a view of an ``int64`` or
+    ``uint64`` array).  Integers wrap to 64 bits as :func:`canonical_key`
+    masks them; strings and bytes are hashed; other types are refused.
+    The dtype numpy infers decides the path, so numeric strings and floats
+    are never coerced to integers."""
+    column = np.asarray(items)
+    if column.dtype == np.int64:
+        return column.view(np.uint64)
+    if column.dtype.kind in "iu" or not column.size:
+        return column.astype(np.uint64, copy=False)
+    try:  # strings, bytes, mixed types or ints numpy cannot hold
+        return np.array([canonical_key(item) for item in items],
+                        dtype=np.uint64)
+    except TypeError as exc:
+        raise StreamError(str(exc)) from None
+
+
 class Trace:
-    """A windowed data stream.
+    """A windowed data stream stored as two read-only columns.
 
-    ``items[i]`` is the canonical (integer) item key of the i-th record and
-    ``window_ids[i]`` the zero-based window it falls into.  Window ids must
-    be non-decreasing (times are monotone in the stream model).
+    ``key_column[i]`` is the canonical ``uint64`` item key of the i-th
+    record and ``window_column[i]`` the zero-based window it falls into.
+    Window ids must be non-decreasing (times are monotone in the stream
+    model).  ``items`` and ``window_ids`` may be lists or arrays; an
+    ``int64``/``uint64`` array is adopted without a copy.
+
+    >>> trace = Trace([3, 1, 3, 2], [0, 0, 1, 1], 2, name="tiny")
+    >>> [keys.dtype.name for keys in trace.window_arrays()]
+    ['uint64', 'uint64']
+    >>> trace.window_arrays()[1].tolist()
+    [3, 2]
+    >>> trace.items, type(trace.items[0])
+    ([3, 1, 3, 2], <class 'int'>)
     """
 
-    items: List[int]
-    window_ids: List[int]
-    n_windows: int
-    name: str = "trace"
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if len(self.items) != len(self.window_ids):
+    def __init__(self, items, window_ids, n_windows: int,
+                 name: str = "trace", meta: Optional[dict] = None) -> None:
+        keys = _key_column(items)
+        wids = np.asarray(window_ids, dtype=np.int64)
+        if keys.shape != wids.shape or keys.ndim != 1:
             raise StreamError("items and window_ids must have equal length")
-        if self.n_windows < 1:
+        if n_windows < 1:
             raise StreamError("a trace needs at least one window")
-        last = -1
-        for wid in self.window_ids:
-            if wid < last:
+        if len(wids):
+            if wids[0] < 0 or (wids[1:] < wids[:-1]).any():
                 raise StreamError("window ids must be non-decreasing")
-            last = wid
-        if last >= self.n_windows:
-            raise StreamError(
-                f"window id {last} out of range for n_windows={self.n_windows}"
-            )
+            if wids[-1] >= n_windows:
+                raise StreamError(
+                    f"window id {wids[-1]} out of range for "
+                    f"n_windows={n_windows}"
+                )
+        self.key_column, self.window_column = keys.view(), wids.view()
+        self.key_column.flags.writeable = False
+        self.window_column.flags.writeable = False
+        self.n_windows = int(n_windows)
+        self.name = name
+        self.meta = {} if meta is None else meta
+
+    def __reduce__(self):
+        return (Trace, (self.key_column, self.window_column, self.n_windows,
+                        self.name, self.meta))
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.key_column)
+
+    @property
+    def items(self) -> List[int]:
+        """The key column as a list of Python ints (one copy per access)."""
+        return self.key_column.tolist()
+
+    @property
+    def window_ids(self) -> List[int]:
+        """The window-id column as a list of Python ints."""
+        return self.window_column.tolist()
 
     @property
     def n_records(self) -> int:
         """Number of records in the trace."""
-        return len(self.items)
+        return len(self.key_column)
 
     @property
     def n_distinct(self) -> int:
         """Number of distinct items in the trace."""
-        return len(set(self.items))
+        return len(np.unique(self.key_column))
 
     def records(self) -> Iterator[Tuple[int, int]]:
         """Iterate ``(item, window_id)`` pairs in stream order."""
         return zip(self.items, self.window_ids)
 
-    def _meta_copy(self) -> dict:
-        """Copy of ``meta`` without underscore-prefixed cache entries.
-
-        Derived traces (slices, rewindows, filters) must not inherit the
-        parent's cached ``_window_arrays`` / ``_mean_window_distinct`` —
-        those describe the parent's records, not the derivative's.
-        """
-        return {k: v for k, v in self.meta.items() if not k.startswith("_")}
+    def _bounds(self) -> List[int]:
+        """Record offsets of windows ``0..n_windows``."""
+        return np.searchsorted(
+            self.window_column, np.arange(self.n_windows + 1), side="left"
+        ).tolist()
 
     def windows(self) -> Iterator[Tuple[int, List[int]]]:
         """Iterate ``(window_id, items_in_window)`` including empty windows."""
-        start = 0
-        n = len(self.items)
+        items = self.items
+        bounds = self._bounds()
         for wid in range(self.n_windows):
-            end = start
-            while end < n and self.window_ids[end] == wid:
-                end += 1
-            yield wid, self.items[start:end]
-            start = end
+            yield wid, items[bounds[wid]:bounds[wid + 1]]
 
     def window_arrays(self) -> List[np.ndarray]:
         """Columnar per-window views: one ``uint64`` key array per window.
 
         The batch-ingestion counterpart of :meth:`windows` — empty windows
         yield empty arrays, record order is preserved, and the arrays are
-        slices of one contiguous canonicalized column, built once and
-        cached in ``meta`` (the trace is immutable by convention).  Feed
-        them to ``insert_window`` / ``run_stream``.
+        read-only slices of the key column.  Feed them to
+        ``insert_window`` / ``run_stream``.
         """
-        cached = self.meta.get("_window_arrays")
-        if cached is not None:
-            return cached
-        column = canonical_keys(self.items)
-        bounds = np.searchsorted(
-            np.asarray(self.window_ids, dtype=np.int64),
-            np.arange(self.n_windows + 1, dtype=np.int64),
-            side="left",
-        )
-        arrays = [
-            column[bounds[w]:bounds[w + 1]] for w in range(self.n_windows)
-        ]
-        self.meta["_window_arrays"] = arrays
-        return arrays
+        keys = self.key_column
+        bounds = self._bounds()
+        return [keys[bounds[w]:bounds[w + 1]] for w in range(self.n_windows)]
+
+    def distinct_keys(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each distinct key in first-appearance order, with its record
+        count and its persistence.  A stable argsort groups each key's
+        records in stream order, so each change of window id in a group
+        starts one more window."""
+        keys = self.key_column
+        if not len(keys):
+            empty = np.zeros(0, dtype=np.int64)
+            return keys, empty, empty
+        order = np.argsort(keys, kind="stable")
+        grouped = keys[order]
+        new_key = np.ones(len(keys), dtype=bool)
+        np.not_equal(grouped[1:], grouped[:-1], out=new_key[1:])
+        wids = self.window_column[order]
+        new_window = new_key.copy()
+        new_window[1:] |= wids[1:] != wids[:-1]
+        starts = np.flatnonzero(new_key)
+        records = np.diff(np.append(starts, len(keys)))
+        windows = np.add.reduceat(new_window, starts, dtype=np.int64)
+        first_seen = np.argsort(order[starts])
+        return (grouped[starts][first_seen], records[first_seen],
+                windows[first_seen])
 
     def slice_windows(self, first: int, last: int) -> "Trace":
         """Sub-trace covering windows ``[first, last)``, re-zeroed."""
         if not 0 <= first < last <= self.n_windows:
             raise StreamError("invalid window slice")
-        items: List[int] = []
-        wids: List[int] = []
-        for item, wid in self.records():
-            if first <= wid < last:
-                items.append(item)
-                wids.append(wid - first)
-        return Trace(
-            items,
-            wids,
-            last - first,
-            name=f"{self.name}[{first}:{last}]",
-            meta=self._meta_copy(),
-        )
+        lo, hi = np.searchsorted(self.window_column, [first, last])
+        return Trace(self.key_column[lo:hi], self.window_column[lo:hi] - first,
+                     last - first, name=f"{self.name}[{first}:{last}]",
+                     meta=dict(self.meta))
 
     def filter_items(self, keep, name: str = "") -> "Trace":
         """Sub-trace holding only the records of the ``keep`` item keys.
@@ -134,20 +173,10 @@ class Trace:
         items is unchanged — the property fuzz-case shrinking relies on
         when it minimizes a failing trace key by key.
         """
-        keep = set(keep)
-        items: List[int] = []
-        wids: List[int] = []
-        for item, wid in self.records():
-            if item in keep:
-                items.append(item)
-                wids.append(wid)
-        return Trace(
-            items,
-            wids,
-            self.n_windows,
-            name=name or f"{self.name}/filtered",
-            meta=self._meta_copy(),
-        )
+        mask = np.isin(self.key_column, _key_column(list(keep)))
+        return Trace(self.key_column[mask], self.window_column[mask],
+                     self.n_windows, name=name or f"{self.name}/filtered",
+                     meta=dict(self.meta))
 
     def rewindowed(self, n_windows: int) -> "Trace":
         """The same record sequence re-divided into ``n_windows`` windows.
@@ -159,37 +188,17 @@ class Trace:
         """
         if n_windows < 1:
             raise StreamError("n_windows must be >= 1")
-        n = len(self.items)
-        if n == 0:
-            return Trace([], [], n_windows, name=self.name,
-                         meta=self._meta_copy())
-        wids = [min(n_windows - 1, i * n_windows // n) for i in range(n)]
-        return Trace(
-            list(self.items),
-            wids,
-            n_windows,
-            name=f"{self.name}/w{n_windows}",
-            meta=self._meta_copy(),
-        )
+        return Trace(self.key_column, even_window_ids(len(self), n_windows),
+                     n_windows, name=f"{self.name}/w{n_windows}",
+                     meta=dict(self.meta))
 
     def mean_window_distinct(self) -> float:
-        """Average number of distinct items per window (cached).
+        """Average number of distinct items per window.
 
         This is the Burst Filter's working-set size: the structure must
         hold roughly this many IDs to absorb within-window repeats.
         """
-        cached = self.meta.get("_mean_window_distinct")
-        if cached is not None:
-            return cached
-        last_window: dict = {}
-        pairs = 0
-        for item, wid in self.records():
-            if last_window.get(item) != wid:
-                last_window[item] = wid
-                pairs += 1
-        value = pairs / self.n_windows if self.n_windows else 0.0
-        self.meta["_mean_window_distinct"] = value
-        return value
+        return int(self.distinct_keys()[2].sum()) / self.n_windows
 
     def describe(self) -> dict:
         """Summary statistics (used by dataset docs and tests)."""
@@ -199,6 +208,14 @@ class Trace:
             "distinct": self.n_distinct,
             "windows": self.n_windows,
         }
+
+
+def even_window_ids(n_records: int, n_windows: int) -> np.ndarray:
+    """Window ids that divide ``n_records`` positions evenly into
+    ``n_windows`` windows: record ``i`` falls in ``i * n_windows //
+    n_records`` (the last window absorbs the rounding)."""
+    wids = np.arange(n_records, dtype=np.int64) * n_windows
+    return np.minimum(wids // max(n_records, 1), n_windows - 1)
 
 
 def merge_traces(first: "Trace", *others: "Trace", name: str = "") -> "Trace":
@@ -214,16 +231,14 @@ def merge_traces(first: "Trace", *others: "Trace", name: str = "") -> "Trace":
     for t in others:
         if t.n_windows != n_windows:
             raise StreamError("merged traces must share n_windows")
-    pairs: List[Tuple[int, int]] = []
-    for t in traces:
-        pairs.extend(zip(t.window_ids, t.items))
-    pairs.sort(key=lambda p: p[0])
+    wids = np.concatenate([t.window_column for t in traces])
+    order = np.argsort(wids, kind="stable")
     merged_meta = {}
     for t in traces:
         merged_meta.update(t.meta)
     return Trace(
-        [item for _, item in pairs],
-        [wid for wid, _ in pairs],
+        np.concatenate([t.key_column for t in traces])[order],
+        wids[order],
         n_windows,
         name=name or "+".join(t.name for t in traces),
         meta=merged_meta,
@@ -244,19 +259,13 @@ def trace_from_timestamps(
     """
     if len(items) != len(times):
         raise StreamError("items and times must have equal length")
-    if not items:
-        return Trace([], [], n_windows, name=name)
-    t0, tn = times[0], times[-1]
-    prev = t0
-    for t in times:
-        if t < prev:
-            raise StreamError("timestamps must be non-decreasing")
-        prev = t
-    span = tn - t0
+    times = np.asarray(times, dtype=np.float64)
+    if (times[1:] < times[:-1]).any():
+        raise StreamError("timestamps must be non-decreasing")
+    span = times[-1] - times[0] if len(times) else 0.0
     if span <= 0:
-        wids = [0] * len(items)
+        wids = np.zeros(len(times), dtype=np.int64)
     else:
-        wids = [
-            min(n_windows - 1, int((t - t0) / span * n_windows)) for t in times
-        ]
-    return Trace(list(items), wids, n_windows, name=name)
+        offsets = (times - times[0]) / span * n_windows
+        wids = np.minimum(offsets.astype(np.int64), n_windows - 1)
+    return Trace(items, wids, n_windows, name=name)

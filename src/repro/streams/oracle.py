@@ -17,22 +17,16 @@ def exact_persistence(trace: Trace) -> Dict[int, int]:
     """Exact persistence of every distinct item in the trace.
 
     Persistence of ``e`` = number of distinct windows containing ``e``.
+    Keys appear in first-appearance order (metrics sum in that order).
     """
-    last_window: Dict[int, int] = {}
-    persistence: Dict[int, int] = {}
-    for item, wid in trace.records():
-        if last_window.get(item) != wid:
-            last_window[item] = wid
-            persistence[item] = persistence.get(item, 0) + 1
-    return persistence
+    keys, _, persistence = trace.distinct_keys()
+    return dict(zip(keys.tolist(), persistence.tolist()))
 
 
 def exact_frequency(trace: Trace) -> Dict[int, int]:
     """Exact record count per item (used by frequency-style baselines' tests)."""
-    freq: Dict[int, int] = {}
-    for item in trace.items:
-        freq[item] = freq.get(item, 0) + 1
-    return freq
+    keys, frequency, _ = trace.distinct_keys()
+    return dict(zip(keys.tolist(), frequency.tolist()))
 
 
 def persistent_items(

@@ -111,21 +111,23 @@ def zipf_trace(
         wids = np.repeat(wids, repeats)
 
     if n_stealthy:
-        s_items = []
-        s_wids = []
-        for k in range(n_stealthy):
-            key = _STEALTHY_BASE + k
-            for wid in range(n_windows):
-                s_items.extend([key] * stealthy_rate)
-                s_wids.extend([wid] * stealthy_rate)
-        items = np.concatenate([items, np.asarray(s_items, dtype=np.int64)])
-        wids = np.concatenate([wids, np.asarray(s_wids, dtype=np.int64)])
+        # key-major: each planted key, then each window, stealthy_rate times
+        s_items = np.repeat(
+            _STEALTHY_BASE + np.arange(n_stealthy, dtype=np.int64),
+            n_windows * stealthy_rate,
+        )
+        s_wids = np.tile(
+            np.repeat(np.arange(n_windows, dtype=np.int64), stealthy_rate),
+            n_stealthy,
+        )
+        items = np.concatenate([items, s_items])
+        wids = np.concatenate([wids, s_wids])
 
     order = np.argsort(wids, kind="stable")
     trace_name = name or f"zipf{skew:g}"
     return Trace(
-        items[order].tolist(),
-        wids[order].tolist(),
+        items[order],
+        wids[order],
         n_windows,
         name=trace_name,
         meta={"skew": skew, "n_items": n_items, "n_stealthy": n_stealthy,
@@ -162,9 +164,7 @@ def persistence_trace(
     if occurrences_per_window < 1:
         raise StreamError("occurrences_per_window must be >= 1")
     rng = np.random.default_rng(derive_seed(seed, n_windows, 0xBA2D))
-    items: List[int] = []
-    wids: List[int] = []
-    next_key = key_base
+    item_windows: List[np.ndarray] = []
     for count, p_lo, p_hi in bands:
         if count < 0 or p_lo < 1 or p_hi < p_lo:
             raise StreamError(f"invalid band {(count, p_lo, p_hi)}")
@@ -173,19 +173,21 @@ def persistence_trace(
             p = min(int(p), n_windows)
             start = int(rng.integers(0, n_windows - p + 1)) if late_start \
                 else 0
-            windows = start + rng.choice(
+            item_windows.append(start + rng.choice(
                 n_windows - start, size=p, replace=False
-            )
-            for wid in windows:
-                items.extend([next_key] * occurrences_per_window)
-                wids.extend([int(wid)] * occurrences_per_window)
-            next_key += 1
-    order = np.argsort(np.asarray(wids), kind="stable")
-    items_arr = np.asarray(items, dtype=np.int64)[order]
-    wids_arr = np.asarray(wids, dtype=np.int64)[order]
+            ))
+    # item k (key ``key_base + k``) holds occurrences_per_window records
+    # in each of its windows, in the order its windows were drawn
+    lengths = np.array([len(w) for w in item_windows], dtype=np.int64)
+    items = np.repeat(key_base + np.arange(len(lengths), dtype=np.int64),
+                      lengths * occurrences_per_window)
+    windows = (np.concatenate(item_windows) if item_windows
+               else np.zeros(0, dtype=np.int64))
+    wids = np.repeat(windows, occurrences_per_window)
+    order = np.argsort(wids, kind="stable")
     return Trace(
-        items_arr.tolist(),
-        wids_arr.tolist(),
+        items[order],
+        wids[order],
         n_windows,
         name=name,
         meta={"bands": list(bands), "seed": seed},
@@ -206,8 +208,8 @@ def uniform_trace(
     items = rng.integers(_ITEM_BASE, _ITEM_BASE + n_items, size=n_records)
     wids = np.sort(rng.integers(0, n_windows, size=n_records))
     return Trace(
-        items.astype(np.int64).tolist(),
-        wids.astype(np.int64).tolist(),
+        items,
+        wids,
         n_windows,
         name=name,
         meta={"n_items": n_items, "seed": seed},
@@ -232,8 +234,8 @@ def exponential_trace(
     items = _sample_ranks(rng, probs, n_records).astype(np.int64) + _ITEM_BASE
     wids = np.sort(rng.integers(0, n_windows, size=n_records))
     return Trace(
-        items.tolist(),
-        wids.astype(np.int64).tolist(),
+        items,
+        wids,
         n_windows,
         name=name,
         meta={"n_items": n_items, "scale": scale, "seed": seed},
@@ -272,8 +274,8 @@ def burst_trace(
         wids[:n_burst] = burst_window
     order = np.argsort(wids, kind="stable")
     return Trace(
-        items[order].tolist(),
-        wids[order].tolist(),
+        items[order],
+        wids[order],
         n_windows,
         name=name,
         meta={"n_items": n_items, "burst_fraction": burst_fraction,

@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from ..baselines import OnOffSketchV1
 from ..core import (
     ENGINES,
@@ -164,7 +166,7 @@ def catalog_names(scope: Optional[str] = None) -> List[str]:
 
 def sample_keys(trace: Trace, cap: int) -> List[int]:
     """A deterministic, evenly spread sample of the trace's distinct keys."""
-    keys = sorted(set(trace.items))
+    keys = np.unique(trace.key_column).tolist()
     if len(keys) <= cap:
         return keys
     step = len(keys) / cap

@@ -8,14 +8,18 @@ import repro.common.bitmem
 import repro.common.hashing
 import repro.core.hypersistent
 import repro.core.sliding
+import repro.obs.profiler
 import repro.streams.ingest
+import repro.streams.model
 
 MODULES = [
     repro.common.hashing,
     repro.common.bitmem,
     repro.core.hypersistent,
     repro.core.sliding,
+    repro.obs.profiler,
     repro.streams.ingest,
+    repro.streams.model,
 ]
 
 

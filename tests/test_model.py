@@ -1,8 +1,12 @@
 """Unit tests for repro.streams.model."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.common.errors import StreamError
+from repro.common.hashing import canonical_key
 from repro.streams.model import Trace, merge_traces, trace_from_timestamps
 
 
@@ -26,6 +30,64 @@ class TestTraceValidation:
     def test_empty_trace_ok(self):
         t = Trace([], [], 5)
         assert t.n_records == 0 and t.n_windows == 5
+
+    def test_negative_first_window_id_rejected(self):
+        with pytest.raises(StreamError):
+            Trace([1, 2], [-1, 0], 2)
+
+    def test_negative_keys_wrap_like_canonical_key(self):
+        t = Trace([-1, 5], [0, 0], 1)
+        assert t.items == [canonical_key(-1), 5] == [(1 << 64) - 1, 5]
+
+    def test_string_keys_are_canonicalized(self):
+        t = Trace(["a", b"b", 7], [0, 0, 0], 1)
+        assert t.items == [canonical_key("a"), canonical_key(b"b"), 7]
+        # all-numeric strings are strings, not integers
+        assert Trace(["7"], [0], 1).items == [canonical_key("7")]
+
+    def test_keys_canonical_key_refuses_are_rejected(self):
+        for bad in ([1.5], [None], np.array([2.0])):
+            with pytest.raises(StreamError):
+                Trace(bad, [0], 1)
+
+
+class TestColumns:
+    def test_columns_and_window_views_are_read_only(self):
+        t = Trace([1, 2, 3], [0, 0, 1], 2)
+        with pytest.raises(ValueError):
+            t.window_arrays()[0][0] = 9
+        with pytest.raises(ValueError):
+            t.key_column[0] = 9
+        with pytest.raises(ValueError):
+            t.window_column[0] = 1
+
+    def test_int64_arrays_are_adopted_without_a_copy(self):
+        keys = np.array([5, 6, 7], dtype=np.int64)
+        wids = np.array([0, 1, 1], dtype=np.int64)
+        t = Trace(keys, wids, 2)
+        assert t.key_column.dtype == np.uint64
+        assert np.shares_memory(t.key_column, keys)
+        assert np.shares_memory(t.window_column, wids)
+        assert keys.flags.writeable  # the caller's array keeps its flags
+
+    def test_list_views_hold_python_ints(self, tiny_trace):
+        assert all(type(k) is int for k in tiny_trace.items)
+        assert all(type(w) is int for w in tiny_trace.window_ids)
+        assert all(type(k) is int and type(w) is int
+                   for k, w in tiny_trace.records())
+
+    def test_window_arrays_slice_one_column(self, tiny_trace):
+        arrays = tiny_trace.window_arrays()
+        assert [a.tolist() for a in arrays] == \
+            [items for _, items in tiny_trace.windows()]
+        assert all(a.base is not None for a in arrays)
+
+    def test_pickle_round_trip_stays_read_only(self, tiny_trace):
+        copy = pickle.loads(pickle.dumps(tiny_trace))
+        assert copy.items == tiny_trace.items
+        assert copy.window_ids == tiny_trace.window_ids
+        assert (copy.name, copy.n_windows) == ("tiny", 4)
+        assert not copy.key_column.flags.writeable
 
 
 class TestTraceAccessors:
@@ -109,6 +171,21 @@ class TestMergeTraces:
         b = Trace([2], [0], 1, meta={"q": 2})
         merged = merge_traces(a, b)
         assert merged.meta["p"] == 1 and merged.meta["q"] == 2
+
+    def test_merge_after_derived_views_keeps_every_record(self):
+        a = Trace([1, 1], [0, 1], 2)
+        b = Trace([2], [1], 2)
+        a.window_arrays()
+        b.mean_window_distinct()
+        merged = merge_traces(a, b)
+        assert [w.tolist() for w in merged.window_arrays()] == [[1], [1, 2]]
+        assert merged.mean_window_distinct() == 1.5
+        assert merged.meta == {}
+
+    def test_merge_order_within_window_follows_arguments(self):
+        a = Trace([1, 2], [0, 1], 2)
+        b = Trace([3, 4], [0, 1], 2)
+        assert merge_traces(b, a).items == [3, 1, 4, 2]
 
 
 class TestTraceFromTimestamps:

@@ -1,5 +1,6 @@
 """Unit tests for the exact-persistence oracle."""
 
+import numpy as np
 import pytest
 
 from repro.streams.model import Trace
@@ -34,6 +35,36 @@ class TestExactPersistence:
     def test_persistence_bounded_by_frequency(self, small_zipf, small_truth):
         freq = exact_frequency(small_zipf)
         assert all(small_truth[k] <= freq[k] for k in small_truth)
+
+
+def _loop_persistence(trace):
+    """The record-at-a-time reference the columnar oracle must match."""
+    last_window, persistence, frequency = {}, {}, {}
+    for item, wid in trace.records():
+        frequency[item] = frequency.get(item, 0) + 1
+        if last_window.get(item) != wid:
+            last_window[item] = wid
+            persistence[item] = persistence.get(item, 0) + 1
+    return persistence, frequency
+
+
+class TestColumnarOracleMatchesLoop:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_traces(self, seed):
+        rng = np.random.default_rng(seed)
+        n, n_windows = int(rng.integers(0, 400)), int(rng.integers(1, 12))
+        keys = rng.integers(0, 1 + int(rng.integers(1, 60)), size=n)
+        keys[rng.random(n) < 0.1] |= np.int64(-1) << 63  # keys >= 2**63
+        wids = np.sort(rng.integers(0, n_windows, size=n))
+        trace = Trace(keys, wids, n_windows)
+        persistence, frequency = _loop_persistence(trace)
+        assert list(exact_persistence(trace).items()) == \
+            list(persistence.items())
+        assert list(exact_frequency(trace).items()) == \
+            list(frequency.items())
+        assert trace.mean_window_distinct() == \
+            sum(persistence.values()) / n_windows
+        assert trace.n_distinct == len(persistence)
 
 
 class TestExactFrequency:

@@ -42,6 +42,13 @@ class TestApiDocsGenerator:
         assert "# API reference" in content
         assert "HypersistentSketch" in content
 
+    def test_output_has_no_object_addresses(self, tmp_path):
+        out = tmp_path / "API.md"
+        assert generate_api_docs.main(["--out", str(out)]) == 0
+        content = out.read_text()
+        assert "### `CATALOG`" in content and "### `EXPERIMENTS`" in content
+        assert " at 0x" not in content
+
 
 class TestExperimentsGenerator:
     def test_claims_cover_every_experiment(self):

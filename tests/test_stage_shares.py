@@ -22,11 +22,12 @@ class TestMeanWindowDistinct:
         t = Trace([1], [0], 4)
         assert t.mean_window_distinct() == pytest.approx(0.25)
 
-    def test_cached(self):
+    def test_repeatable(self):
         t = Trace([1, 2], [0, 0], 1)
         first = t.mean_window_distinct()
-        assert t.meta["_mean_window_distinct"] == first
         assert t.mean_window_distinct() == first
+        assert Trace([1, 2], [0, 0], 1).mean_window_distinct() == first
+        assert t.meta == {}
 
 
 class TestResolvingStage:
